@@ -73,8 +73,6 @@
 
 #include "community/combiner.hpp"
 #include "community/detector.hpp"
-#include "community/dynamic_plm.hpp"
-#include "community/dynamic_plp.hpp"
 #include "community/local_expansion.hpp"
 #include "community/overlapping_lpa.hpp"
 #include "community/epp.hpp"

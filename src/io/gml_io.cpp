@@ -1,6 +1,7 @@
 #include "io/gml_io.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -126,6 +127,8 @@ Graph readGml(const std::string& path) {
                         edge.target = std::stoll(token);
                     } else {
                         edge.weight = std::stod(token);
+                        require(std::isfinite(edge.weight),
+                                "readGml: non-finite edge weight");
                         anyWeight = true;
                     }
                 }

@@ -107,7 +107,8 @@ void parseChunk(const scan::Chunk& chunk, const char* data,
                 tokenStart = q;
                 if (!scan::parseDouble(q, lineEnd, w)) {
                     errorOffset = static_cast<std::size_t>(tokenStart - data);
-                    errorMessage = "missing or malformed edge weight";
+                    errorMessage =
+                        "missing, malformed or non-finite edge weight";
                 }
             }
         }

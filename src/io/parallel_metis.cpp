@@ -137,23 +137,18 @@ bool scanMetisRow(const char* p, const char* lineEnd, const char* data,
             return false;
         }
         double w = 1.0;
-        bool keep = true;
         if (weighted) {
             scan::skipSpace(p, lineEnd);
             const char* weightStart = p;
             if (!scan::parseDouble(p, lineEnd, w)) {
-                if (strict) {
-                    error.record(
-                        static_cast<std::size_t>(weightStart - data),
-                        "missing or malformed edge weight");
-                    return false;
-                }
-                scan::skipToken(p, lineEnd);
-                droppedTokens += 2; // the pair
-                keep = false;
+                // Not recoverable either, for the same reason: the entry
+                // mirroring this one in row `id` would be kept.
+                error.record(static_cast<std::size_t>(weightStart - data),
+                             "missing, malformed or non-finite edge weight");
+                return false;
             }
         }
-        if (keep) emit(static_cast<node>(id - 1), w);
+        emit(static_cast<node>(id - 1), w);
         scan::skipSpace(p, lineEnd);
     }
     return true;

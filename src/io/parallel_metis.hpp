@@ -11,10 +11,11 @@
 //
 // Supported header: "n m [fmt]" with fmt 0 (plain) or 1 (edge weights),
 // as in metis_io.hpp. Structural violations (bad header, out-of-range
-// neighbor ids, missing rows, asymmetric adjacency) throw io::IoError in
-// both modes; junk tokens and a header edge count that disagrees with the
-// edges actually read throw in strict mode and are warned about in
-// permissive mode.
+// neighbor ids, missing, malformed or non-finite edge weights, missing
+// rows, asymmetric adjacency) throw io::IoError in both modes; junk
+// neighbor tokens and a header edge count that disagrees with the edges
+// actually read throw in strict mode and are warned about in permissive
+// mode.
 
 #include <cstddef>
 #include <string>

@@ -6,6 +6,7 @@
 // round-trip weight formatter used by the writers.
 
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <system_error>
@@ -42,13 +43,15 @@ inline bool parseU64(const char*& p, const char* end,
     return true;
 }
 
-/// Parse a floating-point token at p (from_chars general format; accepts
-/// the usual "2", "2.5", "1e-3", "-0.25" spellings). Same cursor contract
-/// as parseU64.
+/// Parse a finite floating-point token at p (from_chars general format;
+/// accepts the usual "2", "2.5", "1e-3", "-0.25" spellings). Same cursor
+/// contract as parseU64. A non-finite value ("nan", "inf", which from_chars
+/// accepts) is a failure: as an edge weight it would silently turn every
+/// modularity score downstream into NaN.
 inline bool parseDouble(const char*& p, const char* end,
                         double& out) noexcept {
     const auto [next, ec] = std::from_chars(p, end, out);
-    if (ec != std::errc() || next == p) return false;
+    if (ec != std::errc() || next == p || !std::isfinite(out)) return false;
     p = next;
     return true;
 }

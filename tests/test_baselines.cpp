@@ -16,8 +16,10 @@
 #include "quality/modularity.hpp"
 #include "quality/partition_similarity.hpp"
 #include "support/random.hpp"
+#include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::SingleThreadScope;
 
 TEST(LouvainSeq, RecoversCliqueChain) {
     Random::setSeed(110);
@@ -183,6 +185,9 @@ TEST(Registry, OursPlusCompetitorsCoverAll) {
 }
 
 TEST(Registry, EveryDetectorSolvesSmokeGraph) {
+    // One thread: the floor holds for the deterministic sequential runs,
+    // not for every multi-threaded interleaving.
+    const SingleThreadScope pinned;
     Graph g = SimpleGraphs::cliqueChain(4, 6);
     const Partition truth = SimpleGraphs::cliqueChainTruth(4, 6);
     for (const auto& name : detectorNames()) {

@@ -22,10 +22,11 @@
 #include "graph/csr_graph.hpp"
 #include "quality/coverage.hpp"
 #include "quality/modularity.hpp"
-#include "support/parallel.hpp"
 #include "support/random.hpp"
+#include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::SingleThreadScope;
 
 namespace {
 
@@ -45,18 +46,6 @@ std::string familyLabel(
     return std::get<0>(info.param) + "_seed" +
            std::to_string(std::get<1>(info.param));
 }
-
-/// RAII guard: run a scope single-threaded, restore afterwards.
-class SingleThreadScope {
-public:
-    SingleThreadScope() : restore_(Parallel::maxThreads()) {
-        Parallel::setThreads(1);
-    }
-    ~SingleThreadScope() { Parallel::setThreads(restore_); }
-
-private:
-    int restore_;
-};
 
 /// One level of the multilevel reference: Plm::runRecursive's composition
 /// rebuilt from the untuned parts — the reference move phase (on a frozen

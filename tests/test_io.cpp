@@ -1,4 +1,5 @@
-// I/O round-trip tests: edge list, METIS, binary, partition, DOT.
+// I/O round-trip tests: edge list, METIS, binary, partition, DOT; GML input
+// validation.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "io/binary_io.hpp"
 #include "io/dot_writer.hpp"
 #include "io/edgelist_io.hpp"
+#include "io/gml_io.hpp"
 #include "io/io_error.hpp"
 #include "io/metis_io.hpp"
 #include "io/partition_io.hpp"
@@ -297,4 +299,17 @@ TEST_F(IoTest, MetisWeightedRoundTripPreservesNonIntegerWeights) {
             << u << "-" << v;
         EXPECT_EQ(loaded.weight(u, v), w) << u << "-" << v;
     });
+}
+
+TEST_F(IoTest, GmlRejectsNonFiniteWeight) {
+    for (const char* weight : {"nan", "inf", "-inf"}) {
+        {
+            std::ofstream out(path("nonfinite.gml"));
+            out << "graph [ node [ id 0 ] node [ id 1 ] "
+                   "edge [ source 0 target 1 weight "
+                << weight << " ] ]\n";
+        }
+        EXPECT_THROW(io::readGml(path("nonfinite.gml")), std::runtime_error)
+            << weight;
+    }
 }

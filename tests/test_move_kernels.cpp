@@ -23,10 +23,11 @@
 #include "generators/rmat.hpp"
 #include "graph/csr_graph.hpp"
 #include "quality/modularity.hpp"
-#include "support/parallel.hpp"
 #include "support/random.hpp"
+#include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::SingleThreadScope;
 
 namespace {
 
@@ -46,18 +47,6 @@ std::string familyLabel(
     return std::get<0>(info.param) + "_seed" +
            std::to_string(std::get<1>(info.param));
 }
-
-/// RAII guard: run a scope single-threaded, restore afterwards.
-class SingleThreadScope {
-public:
-    SingleThreadScope() : restore_(Parallel::maxThreads()) {
-        Parallel::setThreads(1);
-    }
-    ~SingleThreadScope() { Parallel::setThreads(restore_); }
-
-private:
-    int restore_;
-};
 
 /// The kernel-config grid every bit-identity test sweeps: both schedules,
 /// including off-default bucket thresholds (which must not matter

@@ -389,6 +389,30 @@ TEST_F(ParallelIoTest, DeclaredHeaderBoundsIds) {
     EXPECT_EQ(g.numberOfEdges(), 0u);
 }
 
+TEST_F(ParallelIoTest, EdgeListRejectsNonFiniteWeights) {
+    // from_chars accepts "nan" and "inf"; the weight contract does not.
+    const std::string content = "0 1 1.5\n0 2 nan\n1 2 -inf\n2 3 2\n";
+    const std::string file = write("nonfinite.tsv", content);
+    io::ParseOptions strict;
+    strict.weighted = true;
+    try {
+        io::readEdgeListCsr(file, strict);
+        FAIL() << "expected IoError";
+    } catch (const io::IoError& e) {
+        EXPECT_EQ(e.path(), file);
+        EXPECT_EQ(e.line(), 2u);
+        EXPECT_EQ(e.byteOffset(), content.find("nan"));
+    }
+    io::ParseOptions permissive = strict;
+    permissive.strict = false;
+    for (const int threads : kThreadCounts) {
+        permissive.threads = threads;
+        const CsrGraph g = io::readEdgeListCsr(file, permissive);
+        EXPECT_EQ(g.numberOfEdges(), 2u) << "threads=" << threads;
+        EXPECT_EQ(g.totalEdgeWeight(), 3.5) << "threads=" << threads;
+    }
+}
+
 // --- METIS ---------------------------------------------------------------
 
 TEST_F(ParallelIoTest, MetisParallelMatchesSequentialAcrossFamilies) {
@@ -460,6 +484,35 @@ TEST_F(ParallelIoTest, MetisErrorLocationPointsAtBadToken) {
     permissive.strict = false;
     const CsrGraph g = io::readMetisCsr(file, permissive);
     EXPECT_EQ(g.numberOfNodes(), 3u); // junk token dropped with a warning
+}
+
+TEST_F(ParallelIoTest, MetisRejectsNonFiniteWeights) {
+    // A METIS weight cannot be skipped: the entry mirroring it in the other
+    // endpoint's row would stay. So both modes throw, whether the bad
+    // weight is in both rows of edge {1,3} or only in row 1 (one-sided).
+    for (const std::string bad : {"nan", "inf"}) {
+        for (const bool oneSided : {false, true}) {
+            const std::string content = "3 2 1\n2 1.5 3 " + bad +
+                                        "\n1 1.5\n1 " +
+                                        (oneSided ? "2" : bad) + "\n";
+            const std::string file = write("nonfinite.metis", content);
+            for (const bool strict : {true, false}) {
+                io::ParseOptions options;
+                options.strict = strict;
+                for (const int threads : kThreadCounts) {
+                    options.threads = threads;
+                    try {
+                        io::readMetisCsr(file, options);
+                        ADD_FAILURE() << "expected IoError: " << content;
+                    } catch (const io::IoError& e) {
+                        EXPECT_EQ(e.path(), file);
+                        EXPECT_EQ(e.line(), 2u);
+                        EXPECT_EQ(e.byteOffset(), content.find(bad));
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --- buffer-level API ----------------------------------------------------

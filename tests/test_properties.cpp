@@ -22,8 +22,10 @@
 #include "quality/partition_similarity.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
+#include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::SingleThreadScope;
 
 namespace {
 
@@ -239,6 +241,9 @@ INSTANTIATE_TEST_SUITE_P(EnsembleSizes, CombinerProperty,
 class LfrAccuracy : public ::testing::TestWithParam<double> {};
 
 TEST_P(LfrAccuracy, PlmTracksGroundTruth) {
+    // One thread: the floors below hold for the deterministic sequential
+    // sweep, not for every multi-threaded interleaving.
+    const SingleThreadScope pinned;
     const double mu = GetParam();
     Random::setSeed(static_cast<std::uint64_t>(mu * 1000));
     LfrParameters params;
@@ -371,46 +376,3 @@ INSTANTIATE_TEST_SUITE_P(
                                          "grid", "lfr"),
                        ::testing::Values(6u, 7u)),
     instanceLabel);
-
-// ---------------------------------------------------------------------------
-// Sweep 7: dynamic maintenance equivalence — after arbitrary churn, the
-// dynamically maintained solution stays complete and within quality range.
-// ---------------------------------------------------------------------------
-
-#include "community/dynamic_plp.hpp"
-
-class DynamicChurn : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DynamicChurn, SolutionStaysValidUnderChurn) {
-    const std::uint64_t seed = GetParam();
-    Random::setSeed(seed);
-    Graph g = PlantedPartitionGenerator(400, 8, 0.25, 0.005).generate();
-    DynamicPlp dynamic;
-    dynamic.run(g);
-    dynamic.autoUpdate(false);
-
-    for (int step = 0; step < 100; ++step) {
-        const node u = static_cast<node>(Random::integer(400));
-        const node v = static_cast<node>(Random::integer(400));
-        if (u == v) continue;
-        if (g.hasEdge(u, v)) {
-            g.removeEdge(u, v);
-            dynamic.onEdgeRemove(g, u, v);
-        } else {
-            g.addEdge(u, v);
-            dynamic.onEdgeInsert(g, u, v);
-        }
-        if (step % 25 == 24) dynamic.update(g);
-    }
-    dynamic.update(g);
-
-    const Partition& zeta = dynamic.communities();
-    EXPECT_TRUE(zeta.isComplete());
-    const double q = Modularity().getQuality(zeta, g);
-    EXPECT_GE(q, -0.5);
-    EXPECT_LE(q, 1.0);
-    EXPECT_GT(q, 0.3); // structure survives mild churn
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DynamicChurn,
-                         ::testing::Values(71u, 72u, 73u));

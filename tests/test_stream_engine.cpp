@@ -12,7 +12,9 @@
 //   - pinned snapshots are immutable under concurrent publishes (the
 //     snapshot-isolation contract, checked from racing reader threads);
 //   - incremental PLM/PLP re-detection stays inside the quality envelope
-//     of from-scratch detection while re-activating only a local region.
+//     of from-scratch detection while re-activating only a local region;
+//   - both detectors merge, split, absorb nodes past the bound and cold
+//     re-initialize correctly; PLM takes its split-off move.
 
 #include <gtest/gtest.h>
 
@@ -37,9 +39,11 @@
 #include "quality/modularity.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
+#include "support/single_thread_scope.hpp"
 #include "support/stream_workload.hpp"
 
 using namespace grapr;
+using grapr::testing::SingleThreadScope;
 using grapr::testing::StreamWorkload;
 using grapr::testing::StreamWorkloadConfig;
 
@@ -729,4 +733,310 @@ TEST(StreamingDetect, PlpTracksFromScratchQualityUnderChurn) {
         Modularity().getQuality(fromScratch, final_->graph);
     EXPECT_TRUE(incremental.labels().isComplete());
     EXPECT_GT(qIncremental, qScratch - 0.05);
+}
+
+// --- incremental detection: structural properties of both detectors --------
+
+namespace {
+
+const Partition& partitionOf(const StreamingPlm& d) { return d.communities(); }
+const Partition& partitionOf(const StreamingPlp& d) { return d.labels(); }
+
+// Runs `body` once per incremental detector, on a fresh instance of each,
+// single-threaded. On graphs of a few dozen nodes, the simultaneous moves
+// of a parallel sweep can swap nodes back and forth until the sweep cap, so
+// a structural outcome would depend on the interleaving (at four threads a
+// Debug build fails several tests below).
+template <typename Body>
+void forEachDetector(Body&& body) {
+    const SingleThreadScope pinned;
+    {
+        SCOPED_TRACE("StreamingPlm");
+        body(StreamingPlm{});
+    }
+    {
+        SCOPED_TRACE("StreamingPlp");
+        body(StreamingPlp{});
+    }
+}
+
+// Publishes `batch` and re-detects on the generation it produced.
+template <typename Detector>
+void applyAndRedetect(StreamingGraph& engine, Detector& detector,
+                      const EdgeBatch& batch) {
+    const BatchResult result = engine.apply(batch);
+    detector.applyBatch(engine.pin()->graph, result.touched);
+}
+
+} // namespace
+
+TEST(StreamingDetect, ColdInitializeFindsEveryClique) {
+    forEachDetector([](auto detector) {
+        Random::setSeed(730);
+        const StreamingGraph engine(SimpleGraphs::cliqueChain(8, 8));
+        detector.initialize(engine.pin()->graph);
+        EXPECT_EQ(partitionOf(detector).numberOfSubsets(), 8u);
+    });
+}
+
+TEST(StreamingDetect, ApplyBatchRequiresInitialize) {
+    forEachDetector([](auto detector) {
+        const StreamingGraph engine(SimpleGraphs::clique(4));
+        EXPECT_FALSE(detector.initialized());
+        EXPECT_THROW(detector.applyBatch(engine.pin()->graph, {0, 1}),
+                     std::runtime_error);
+    });
+}
+
+TEST(StreamingDetect, InsertionBatchMergesCliques) {
+    // Two 6-cliques on nodes 0-5 and 6-11 with no edge between them.
+    Graph g(12, false);
+    for (node u = 0; u < 6; ++u) {
+        for (node v = u + 1; v < 6; ++v) {
+            g.addEdge(u, v);
+            g.addEdge(u + 6, v + 6);
+        }
+    }
+    forEachDetector([&g](auto detector) {
+        Random::setSeed(731);
+        StreamingGraph engine(g);
+        detector.initialize(engine.pin()->graph);
+        ASSERT_NE(partitionOf(detector)[0], partitionOf(detector)[6]);
+
+        // Join the cliques completely: the result is one 12-clique.
+        EdgeBatch batch;
+        for (node u = 0; u < 6; ++u) {
+            for (node v = 6; v < 12; ++v) batch.insert(u, v);
+        }
+        applyAndRedetect(engine, detector, batch);
+        for (node v = 1; v < 12; ++v) {
+            EXPECT_EQ(partitionOf(detector)[v], partitionOf(detector)[0])
+                << "node " << v;
+        }
+    });
+}
+
+TEST(StreamingDetect, BridgeDeletionSplitsChain) {
+    forEachDetector([](auto detector) {
+        Random::setSeed(732);
+        StreamingGraph engine(SimpleGraphs::cliqueChain(2, 8)); // bridge 7-8
+        detector.initialize(engine.pin()->graph);
+
+        EdgeBatch batch;
+        batch.remove(7, 8);
+        applyAndRedetect(engine, detector, batch);
+        const Partition& zeta = partitionOf(detector);
+        EXPECT_NE(zeta[0], zeta[8]);
+        for (node v = 1; v < 8; ++v) {
+            EXPECT_EQ(zeta[v], zeta[0]) << "node " << v;
+            EXPECT_EQ(zeta[v + 8], zeta[8]) << "node " << v + 8;
+        }
+    });
+}
+
+TEST(StreamingDetect, PlpSingleEdgeBatchStaysLocal) {
+    // One thread keeps the count deterministic and the test short under
+    // TSan; PlpTracksFromScratchQualityUnderChurn runs the parallel sweep.
+    const SingleThreadScope pinned;
+    Random::setSeed(733);
+    StreamingGraph engine(
+        PlantedPartitionGenerator(5000, 50, 0.3, 0.001).generate());
+    StreamingPlp incremental;
+    incremental.initialize(engine.pin()->graph);
+
+    // One intra-block edge: blocks are contiguous in the planted layout.
+    node partner = none;
+    for (node v = 1; v < 100; ++v) {
+        if (!csrEdgeWeight(engine.pin()->graph, 0, v).has_value()) {
+            partner = v;
+            break;
+        }
+    }
+    ASSERT_NE(partner, none);
+    EdgeBatch batch;
+    batch.insert(0, partner);
+    applyAndRedetect(engine, incremental, batch);
+    EXPECT_GT(incremental.lastReactivated(), 0u);
+    EXPECT_LT(incremental.lastReactivated(),
+              engine.pin()->graph.upperNodeIdBound() / 10);
+    EXPECT_TRUE(incremental.labels().isComplete());
+}
+
+TEST(StreamingDetect, BatchPastBoundAbsorbsNewNodes) {
+    // Node 9 arrives with two edges into a 6-clique; ids 6-8 come into
+    // existence with the grown bound but appear in no edge, so they are
+    // never in `touched` and never re-detected.
+    forEachDetector([](auto detector) {
+        Random::setSeed(734);
+        StreamingGraph engine(SimpleGraphs::clique(6));
+        detector.initialize(engine.pin()->graph);
+
+        EdgeBatch batch;
+        batch.insert(9, 0);
+        batch.insert(9, 1);
+        applyAndRedetect(engine, detector, batch);
+        const Partition& zeta = partitionOf(detector);
+        ASSERT_EQ(zeta.numberOfElements(), 10u);
+        EXPECT_TRUE(zeta.isComplete());
+        EXPECT_EQ(zeta[9], zeta[0]);
+        for (node skipped = 6; skipped < 9; ++skipped) {
+            for (node v = 0; v < 10; ++v) {
+                if (v != skipped) {
+                    EXPECT_NE(zeta[skipped], zeta[v])
+                        << "skipped id " << skipped << " shares with " << v;
+                }
+            }
+        }
+    });
+}
+
+TEST(StreamingDetect, PlmReweightBatchMergesEndpoints) {
+    const SingleThreadScope pinned;
+    Graph g(4, true);
+    g.addEdge(0, 1, 4.0);
+    g.addEdge(2, 3, 4.0);
+    g.addEdge(1, 2, 0.5);
+    StreamingGraph engine(g);
+    Random::setSeed(735);
+    StreamingPlm incremental;
+    incremental.initialize(engine.pin()->graph);
+    ASSERT_NE(incremental.communities()[1], incremental.communities()[2]);
+
+    // Remove+insert in one batch is a reweight: 0.5 -> 20.5.
+    EdgeBatch batch;
+    batch.remove(1, 2);
+    batch.insert(1, 2, 20.5);
+    applyAndRedetect(engine, incremental, batch);
+    EXPECT_EQ(incremental.communities()[1], incremental.communities()[2]);
+}
+
+TEST(StreamingDetect, PlmUntouchedRegionsKeepTheirGrouping) {
+    const SingleThreadScope pinned;
+    Random::setSeed(736);
+    StreamingGraph engine(SimpleGraphs::cliqueChain(8, 8));
+    StreamingPlm incremental;
+    incremental.initialize(engine.pin()->graph);
+
+    // Strengthen the bridge between cliques 0 and 1; cliques 4-7 lie
+    // outside the frontier. Compaction renames ids, so assert structure.
+    EdgeBatch batch;
+    batch.insert(0, 9);
+    batch.insert(1, 10);
+    applyAndRedetect(engine, incremental, batch);
+    EXPECT_GT(incremental.lastReactivated(), 0u);
+    EXPECT_LT(incremental.lastReactivated(), 64u);
+    const Partition& zeta = incremental.communities();
+    for (node c = 4; c < 8; ++c) {
+        const node anchor = c * 8;
+        for (node v = anchor + 1; v < anchor + 8; ++v) {
+            EXPECT_EQ(zeta[v], zeta[anchor])
+                << "far clique " << c << " split at node " << v;
+        }
+        if (c > 4) {
+            EXPECT_NE(zeta[anchor], zeta[32])
+                << "far cliques " << c << " and 4 merged";
+        }
+    }
+}
+
+TEST(StreamingDetect, PlmSplitOffIsolatesStrandedNode) {
+    // Node 0 loses every edge into its clique but keeps a self-loop. No
+    // neighbour community remains, so its only improving move is to its
+    // reserved split-off community; without that move it would stay glued
+    // to the clique that no longer holds it.
+    const SingleThreadScope pinned;
+    Graph g = SimpleGraphs::cliqueChain(2, 6); // bridge 5-6
+    g.addEdge(0, 0);
+    StreamingGraph engine(g);
+    Random::setSeed(737);
+    StreamingPlm incremental;
+    incremental.initialize(engine.pin()->graph);
+    ASSERT_EQ(incremental.communities()[0], incremental.communities()[1]);
+
+    EdgeBatch batch;
+    for (node v = 1; v < 6; ++v) batch.remove(0, v);
+    applyAndRedetect(engine, incremental, batch);
+    const Partition& zeta = incremental.communities();
+    EXPECT_TRUE(zeta.isComplete());
+    for (node v = 1; v < 12; ++v) {
+        EXPECT_NE(zeta[v], zeta[0]) << "node " << v << " shares with 0";
+    }
+    for (node v = 2; v < 6; ++v) EXPECT_EQ(zeta[v], zeta[1]) << "node " << v;
+}
+
+TEST(StreamingDetect, ReinitializeEqualsFreshDetector) {
+    // A second initialize() is a cold start on the new snapshot: nothing of
+    // the warm state survives. On one thread equal seeds give equal runs.
+    forEachDetector([](auto detector) {
+        Random::setSeed(738);
+        StreamingGraph engine(
+            PlantedPartitionGenerator(600, 6, 0.25, 0.005).generate());
+        detector.initialize(engine.pin()->graph);
+
+        StreamWorkloadConfig cfg;
+        cfg.nodes = 600;
+        cfg.opsPerBatch = 90;
+        cfg.seed = 739;
+        const StreamWorkload workload(cfg);
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            const BatchResult result =
+                engine.apply(workload.batch(i, engine.pin()->graph),
+                             StreamApplyMode::Permissive);
+            if (result.touched.empty()) continue;
+            detector.applyBatch(engine.pin()->graph, result.touched);
+        }
+
+        const SnapshotPtr snap = engine.pin();
+        Random::setSeed(740);
+        detector.initialize(snap->graph);
+        decltype(detector) fresh;
+        Random::setSeed(740);
+        fresh.initialize(snap->graph);
+        EXPECT_EQ(partitionOf(detector).vector(), partitionOf(fresh).vector());
+    });
+}
+
+TEST(StreamingDetect, ChurnSweepStaysValid) {
+    // Random toggles of node pairs on a planted graph, published in four
+    // batches of 25 steps: the maintained solution stays complete and keeps
+    // the planted structure.
+    forEachDetector([](const auto& prototype) {
+        for (const std::uint64_t seed : {71u, 72u, 73u}) {
+            SCOPED_TRACE(seed);
+            Random::setSeed(seed);
+            Graph g = PlantedPartitionGenerator(400, 8, 0.25, 0.005).generate();
+            StreamingGraph engine(g);
+            auto detector = prototype;
+            detector.initialize(engine.pin()->graph);
+
+            EdgeBatch batch;
+            for (int step = 0; step < 100; ++step) {
+                const auto u = static_cast<node>(Random::integer(400));
+                const auto v = static_cast<node>(Random::integer(400));
+                if (u != v) {
+                    if (g.hasEdge(u, v)) {
+                        g.removeEdge(u, v);
+                        batch.remove(u, v);
+                    } else {
+                        g.addEdge(u, v);
+                        batch.insert(u, v);
+                    }
+                }
+                if (step % 25 == 24) {
+                    const BatchResult result = engine.apply(batch);
+                    if (!result.touched.empty()) {
+                        detector.applyBatch(engine.pin()->graph,
+                                            result.touched);
+                    }
+                    batch = EdgeBatch{};
+                }
+            }
+
+            const Partition& zeta = partitionOf(detector);
+            EXPECT_TRUE(zeta.isComplete());
+            const double q = Modularity().getQuality(zeta, engine.pin()->graph);
+            EXPECT_GT(q, 0.3);
+            EXPECT_LE(q, 1.0);
+        }
+    });
 }
