@@ -17,9 +17,8 @@
 //   * incremental detection — a ~1% edge-churn batch, then
 //     StreamingPlm::applyBatch (seeded from the converged partition,
 //     re-activating only the touched frontier) against a from-scratch
-//     Plm::runFrozen on the same snapshot. Reports the re-activated
-//     fraction and the modularity gap — the acceptance numbers of the
-//     streaming PR (<10% of nodes, gap <= 5e-3 on rmat_s18).
+//     Plm::runFrozen on the same snapshot. Reports the seeded sweep's
+//     move count, the re-activated fraction and the modularity gap.
 //
 // Batch streams are recorded once against the evolving state (the
 // workload generator is counter-based and deterministic), then replayed
@@ -27,9 +26,10 @@
 // machine-load swings hit all variants alike; speedups use minima.
 //
 // Emits BENCH_stream.json; tools/check_perf_regression.py (--metric
-// updates_per_sec:... --metric speedup_batch_vs_rebuild:...) compares a
-// fresh --quick run against the committed file in CI, with rmat_s13 as
-// the shared anchor instance (measured in both modes).
+// updates_per_sec:... --metric speedup_batch_vs_rebuild:... --metric
+// incremental.moves:...) compares a fresh --quick run against the
+// committed file in CI, with rmat_s13 as the shared anchor instance
+// (measured in both modes).
 //
 // Flags/environment: --quick or GRAPR_BENCH_QUICK=1 shrinks the instance
 // list; GRAPR_BENCH_THREADS overrides the thread count (default 4).
@@ -124,6 +124,7 @@ struct IncrementalReport {
     count churnOps = 0;
     count touchedNodes = 0;
     count reactivated = 0;
+    count moves = 0;
     double reactivatedFraction = 0.0;
     double modularityIncremental = 0.0;
     double modularityScratch = 0.0;
@@ -316,6 +317,7 @@ InstanceReport measureInstance(const std::string& name,
                 if (rep == 0) {
                     incremental = run;
                     report.incremental.reactivated = run.lastReactivated();
+                    report.incremental.moves = run.lastMoves();
                 }
             }
             {
@@ -385,6 +387,7 @@ void writeJson(const std::vector<InstanceReport>& reports, int threads,
         json << "      \"incremental\": {\"churn_ops\": " << inc.churnOps
              << ", \"touched_nodes\": " << inc.touchedNodes
              << ", \"reactivated\": " << inc.reactivated
+             << ", \"moves\": " << inc.moves
              << ", \"reactivated_fraction\": " << inc.reactivatedFraction
              << ", \"modularity_incremental\": "
              << inc.modularityIncremental
@@ -455,7 +458,7 @@ int main(int argc, char** argv) {
                   << rep.concurrent.writerUpdatesPerSec
                   << " updates/sec\n";
         const auto& inc = rep.incremental;
-        std::cout << "  incremental: reactivated "
+        std::cout << "  incremental: " << inc.moves << " moves, reactivated "
                   << 100.0 * inc.reactivatedFraction
                   << "% of nodes, modularity gap " << inc.gap()
                   << ", speedup vs scratch " << inc.speedup() << "x\n";

@@ -20,20 +20,16 @@ std::pair<std::vector<node>, count> compactMap(const GraphT& g,
                                                const Partition& zeta) {
     const count idBound = zeta.upperBound();
     require(idBound > 0, "coarsening: partition upper bound is zero");
-    std::vector<std::uint8_t> used(idBound, 0);
+    std::vector<node> remap(idBound, none);
     g.forNodes([&](node v) {
         const node c = zeta[v];
         require(c != none && c < idBound, "coarsening: node unassigned");
-        used[c] = 1;
+        remap[c] = 0; // mark as used
     });
-    std::vector<node> remap(idBound, none);
-    node next = 0;
-    for (count c = 0; c < idBound; ++c) {
-        if (used[c]) remap[c] = next++;
-    }
+    const node coarseNodes = rankUsedIds(remap);
     std::vector<node> fineToCoarse(g.upperNodeIdBound(), none);
     g.parallelForNodes([&](node v) { fineToCoarse[v] = remap[zeta[v]]; });
-    return {std::move(fineToCoarse), next};
+    return {std::move(fineToCoarse), coarseNodes};
 }
 
 } // namespace

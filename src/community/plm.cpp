@@ -254,13 +254,6 @@ struct SeededSweep {
     node splitBase = none;
     count* evaluated = nullptr; ///< out: DISTINCT nodes evaluated (the
                                 ///< re-activated set across iterations)
-    /// Minimum Δmodularity a move must gain to be accepted. A batch shifts
-    /// the total edge weight ω, which perturbs EVERY marginal node's score
-    /// a little; without a floor, converged near-tie nodes far from the
-    /// perturbation flip on those micro-gains and drag their whole
-    /// neighborhood into the frontier. 0.0 reproduces the static rule
-    /// (any positive gain moves).
-    double minGain = 0.0;
 };
 
 template <typename Cells>
@@ -290,10 +283,6 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
     // the seed, later iterations the nodes whose neighborhood changed.
     const bool active = kernel.activeNodes || seeded != nullptr;
     const node splitBase = seeded ? seeded->splitBase : none;
-    // score = 2ω²·ΔQ, so a ΔQ floor translates to score units as
-    // minGain · 2ω² (= minGain · twoOmega² / 2).
-    const double moveThreshold =
-        seeded ? seeded->minGain * 0.5 * twoOmega * twoOmega : 0.0;
     // Bucketing exists to fix multi-thread load imbalance; sequentially it
     // is pure overhead and would reorder the evaluation sweep, so a
     // one-thread run always takes the flat in-order path (this is what
@@ -410,7 +399,7 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
             }
         }
 
-        if (bestCommunity != current && bestScore > moveThreshold) {
+        if (bestCommunity != current && bestScore > 0.0) {
 #pragma omp atomic
             communityVolume[current] -= volU;
 #pragma omp atomic
@@ -445,7 +434,7 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
     count evaluatedNodes = 0;
     // Seeded sweeps report the distinct re-activated set, not evaluation
     // work: a node revisited by five frontier rounds is still one node of
-    // re-detection locality (the <10%-of-n acceptance metric).
+    // re-detection locality (the metric BENCH_stream.json reports).
     std::vector<std::uint8_t> everEvaluated;
     if (seeded) everEvaluated.assign(bound, 0);
     for (count iteration = 0;
@@ -700,14 +689,14 @@ count Plm::movePhaseSeeded(const CsrGraph& g, Partition& zeta, double gamma,
                            count maxIterations,
                            const std::vector<node>& seed, node splitBase,
                            count* evaluatedNodes,
-                           const PlmKernelConfig& kernel, double minGain) {
+                           const PlmKernelConfig& kernel) {
     if (splitBase != none) {
         require(static_cast<count>(splitBase) + g.upperNodeIdBound() <=
                     zeta.upperBound(),
                 "movePhaseSeeded: zeta.upperBound() must cover the "
                 "reserved split-off range [splitBase, splitBase + bound)");
     }
-    const SeededSweep restriction{&seed, splitBase, evaluatedNodes, minGain};
+    const SeededSweep restriction{&seed, splitBase, evaluatedNodes};
     return movePhaseTuned(g, zeta, gamma, maxIterations, nullptr, kernel,
                           &restriction);
 }

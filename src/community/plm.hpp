@@ -154,18 +154,16 @@ public:
     /// (required after deletions; zeta.upperBound() must cover
     /// splitBase + upperNodeIdBound()). `evaluatedNodes`, if non-null,
     /// receives the number of DISTINCT nodes evaluated across iterations —
-    /// the re-activation metric BENCH_stream.json reports. `minGain` is a
-    /// Δmodularity floor a move must clear: batches shift the total edge
-    /// weight, nudging every marginal node's score, and without a floor
-    /// converged near-ties far from the batch flip on those micro-gains
-    /// and balloon the frontier (0.0 = the static any-positive-gain rule).
-    /// Deterministic single-threaded for a fixed seed list.
+    /// the re-activation metric BENCH_stream.json reports. A move is
+    /// accepted on any positive Δmodularity, exactly as in movePhase: a
+    /// single node's gain on a large graph is about vol(u)/ω, so an
+    /// absolute floor would freeze the warm partition. Deterministic
+    /// single-threaded for a fixed seed list.
     static count movePhaseSeeded(const CsrGraph& g, Partition& zeta,
                                  double gamma, count maxIterations,
                                  const std::vector<node>& seed,
                                  node splitBase, count* evaluatedNodes,
-                                 const PlmKernelConfig& kernel = {},
-                                 double minGain = 0.0);
+                                 const PlmKernelConfig& kernel = {});
 
     /// The abandoned first implementation (per-node cached maps + locks),
     /// same contract as movePhase. Exposed for the strategy ablation.

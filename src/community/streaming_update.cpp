@@ -89,8 +89,7 @@ void StreamingPlm::applyBatch(const CsrGraph& g,
     count evaluated = 0;
     lastMoves_ =
         Plm::movePhaseSeeded(g, zeta_, config_.gamma, config_.maxSweeps,
-                             frontier, splitBase, &evaluated, config_.kernel,
-                             config_.minGain);
+                             frontier, splitBase, &evaluated, config_.kernel);
     lastReactivated_ = evaluated;
     zeta_.compact(); // drop unused split-off ids, re-densify
 }
@@ -139,7 +138,7 @@ void StreamingPlp::applyBatch(const CsrGraph& g,
     count evaluated = 0;
     // Distinct re-activated nodes, not evaluation work: a node revisited
     // by several frontier rounds is one node of re-detection locality (the
-    // <10%-of-n metric BENCH_stream.json tracks).
+    // metric BENCH_stream.json tracks).
     std::vector<std::uint8_t> everEvaluated(bound, 0);
     while (sweeps < config_.maxSweeps && !frontier.empty()) {
         GRAPR_RACE_PHASE("stream.plpSeeded");

@@ -11,8 +11,9 @@
 // sweeps then ride the PR-6 active-set frontier: a move re-activates only
 // the mover's neighbors, so re-detection cost scales with the size of the
 // perturbation, not with n — lastReactivated() reports the number of
-// DISTINCT nodes re-activated, the <10%-of-n metric BENCH_stream.json
-// tracks.
+// DISTINCT nodes re-activated, the locality metric BENCH_stream.json
+// tracks. Seeded PLM moves take any positive modularity gain, as the
+// static sweep does; each batch costs two linear-time compactions.
 //
 // Both detectors are single-writer objects: applyBatch() must be called
 // once per published generation, in order, by one thread (internally the
@@ -33,16 +34,9 @@ struct StreamingPlmConfig {
     /// Resolution parameter of the seeded move phase (and the cold start,
     /// which uses cold.gamma — keep them equal for meaningful deltas).
     double gamma = 1.0;
-    /// Cap on seeded move sweeps per batch.
+    /// Cap on seeded move sweeps per batch. Seeded moves take any positive
+    /// Δmodularity, the static rule (Plm::movePhaseSeeded).
     count maxSweeps = 32;
-    /// Δmodularity floor for accepting a move during seeded re-detection
-    /// (Plm::movePhaseSeeded). A batch shifts ω and therefore nudges every
-    /// marginal node's score; the floor keeps converged near-ties far from
-    /// the batch from flipping on those micro-gains, so the re-activated
-    /// set stays proportional to the perturbation. Costs at most minGain
-    /// per suppressed move in modularity — keep it far below the quality
-    /// envelope you care about.
-    double minGain = 2e-4;
     /// Static detector config for initialize().
     PlmConfig cold = {};
     /// Kernel tuning of the seeded sweeps.

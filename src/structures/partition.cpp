@@ -1,7 +1,6 @@
 #include "structures/partition.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include <omp.h>
 
@@ -33,34 +32,21 @@ node Partition::mergeSubsets(node a, node b) {
     return keep;
 }
 
-count Partition::compact(bool byFirstAppearance) {
-    std::unordered_map<node, node> remap;
-    remap.reserve(1024);
-    if (byFirstAppearance) {
-        node next = 0;
-        for (auto& c : data_) {
-            if (c == none) continue;
-            auto [it, inserted] = remap.emplace(c, next);
-            if (inserted) ++next;
-            c = it->second;
-        }
-        upperId_ = static_cast<node>(remap.size());
-        return remap.size();
+count Partition::compact() {
+    count tableSize = 0;
+    for (const node c : data_) {
+        if (c != none) tableSize = std::max<count>(tableSize, count{c} + 1);
     }
-    // Ascending old-id order: gather distinct ids, sort, build map.
-    std::vector<node> ids;
-    for (node c : data_) {
-        if (c != none) ids.push_back(c);
+    std::vector<node> remap(tableSize, none);
+    for (const node c : data_) {
+        if (c != none) remap[c] = 0; // mark as used
     }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    remap.reserve(ids.size());
-    for (index i = 0; i < ids.size(); ++i) remap[ids[i]] = static_cast<node>(i);
-    for (auto& c : data_) {
+    const node k = rankUsedIds(remap);
+    for (node& c : data_) {
         if (c != none) c = remap[c];
     }
-    upperId_ = static_cast<node>(ids.size());
-    return ids.size();
+    upperId_ = k;
+    return k;
 }
 
 count Partition::numberOfSubsets() const {
@@ -96,6 +82,14 @@ std::map<node, std::vector<node>> Partition::subsets() const {
 bool Partition::isComplete() const {
     return std::none_of(data_.begin(), data_.end(),
                         [](node c) { return c == none; });
+}
+
+node rankUsedIds(std::vector<node>& ids) {
+    node next = 0;
+    for (node& id : ids) {
+        if (id != none) id = next++;
+    }
+    return next;
 }
 
 } // namespace grapr

@@ -62,10 +62,13 @@ public:
     /// tests, not inner loops.
     node mergeSubsets(node a, node b);
 
-    /// Relabel community ids to consecutive integers [0, k), preserving
-    /// relative order of first appearance when `byFirstAppearance`, else by
-    /// ascending old id. Returns k.
-    count compact(bool byFirstAppearance = false);
+    /// Relabel community ids to consecutive integers [0, k) in ascending
+    /// old-id order; `none` entries stay `none`. Sets upperBound() to k and
+    /// returns k. Ids at or above upperBound() are allowed, as set()
+    /// promises. Marks the used ids in a dense table indexed by old id,
+    /// numbers them in order and relabels: O(n + largest id) time and
+    /// memory.
+    count compact();
 
     /// Number of distinct communities among assigned nodes.
     count numberOfSubsets() const;
@@ -104,5 +107,11 @@ private:
     mutable race::ShadowCells shadow_;
 #endif
 };
+
+/// The numbering step of Partition::compact. On entry `ids[c] != none`
+/// marks id c as used; on return `ids[c]` is c's rank among the used ids
+/// in ascending order, and unused entries stay `none`. Returns the number
+/// of used ids. O(ids.size()).
+node rankUsedIds(std::vector<node>& ids);
 
 } // namespace grapr

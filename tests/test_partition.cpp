@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "structures/partition.hpp"
 #include "structures/union_find.hpp"
 
@@ -39,6 +46,38 @@ TEST(Partition, MergeSubsets) {
     EXPECT_EQ(p.mergeSubsets(2, 2), 2u); // self-merge is a no-op
 }
 
+namespace {
+
+// Independent reference for Partition::compact: sort and unique the used
+// ids, then give each label the position of its id in that list. Returns
+// the relabelled array and the number of distinct ids.
+std::pair<std::vector<node>, count> referenceCompact(
+    const std::vector<node>& labels) {
+    std::vector<node> ids;
+    for (const node c : labels) {
+        if (c != none) ids.push_back(c);
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    std::vector<node> out(labels.size(), none);
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+        if (labels[v] == none) continue;
+        out[v] = static_cast<node>(
+            std::lower_bound(ids.begin(), ids.end(), labels[v]) -
+            ids.begin());
+    }
+    return {std::move(out), ids.size()};
+}
+
+void expectCompactMatchesReference(Partition p) {
+    const auto [expected, k] = referenceCompact(p.vector());
+    EXPECT_EQ(p.compact(), k);
+    EXPECT_EQ(p.vector(), expected);
+    EXPECT_EQ(p.upperBound(), k);
+}
+
+} // namespace
+
 TEST(Partition, CompactAscendingOrder) {
     Partition p(4);
     p.set(0, 100);
@@ -52,18 +91,42 @@ TEST(Partition, CompactAscendingOrder) {
     EXPECT_EQ(p[3], 1u);  // old 42 -> 1
     EXPECT_EQ(p[0], 2u);  // old 100 -> 2
     EXPECT_EQ(p[2], 2u);
-}
 
-TEST(Partition, CompactByFirstAppearance) {
-    Partition p(3);
-    p.set(0, 100);
-    p.set(1, 7);
-    p.set(2, 100);
-    p.setUpperBound(101);
-    EXPECT_EQ(p.compact(/*byFirstAppearance=*/true), 2u);
-    EXPECT_EQ(p[0], 0u);
-    EXPECT_EQ(p[1], 1u);
-    EXPECT_EQ(p[2], 0u);
+    // Randomized partitions against the sort/unique reference: `none`
+    // entries, dense and sparse id ranges, and ids at and above
+    // upperBound() (set() allows them until compact()).
+    std::mt19937_64 rng(1501);
+    const std::uint64_t idRanges[] = {1, 3, 64, 1000, std::uint64_t{1} << 16};
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE(trial);
+        const count n = rng() % 200;
+        const std::uint64_t idRange = idRanges[rng() % std::size(idRanges)];
+        const std::uint64_t nonePercent = rng() % 101;
+        Partition q(n);
+        for (node v = 0; v < n; ++v) {
+            if (rng() % 100 >= nonePercent) {
+                q.set(v, static_cast<node>(rng() % idRange));
+            }
+        }
+        q.setUpperBound(static_cast<node>(rng() % (idRange + 1)));
+        expectCompactMatchesReference(q);
+    }
+
+    // Ids exactly at and far above upperBound().
+    Partition above(5);
+    above.set(0, 7);
+    above.set(1, 7);
+    above.set(2, 3);
+    above.set(4, 900000);
+    above.setUpperBound(7);
+    expectCompactMatchesReference(above);
+
+    // All-none and empty partitions compact to k = 0.
+    Partition allNone(6);
+    allNone.setUpperBound(4);
+    expectCompactMatchesReference(allNone);
+    expectCompactMatchesReference(Partition(0));
+    expectCompactMatchesReference(Partition());
 }
 
 TEST(Partition, CompactPreservesNone) {

@@ -33,6 +33,7 @@
 #include "community/plp.hpp"
 #include "community/streaming_update.hpp"
 #include "generators/planted_partition.hpp"
+#include "generators/rmat.hpp"
 #include "generators/simple_graphs.hpp"
 #include "graph/graph_log.hpp"
 #include "graph/stream_engine.hpp"
@@ -628,6 +629,47 @@ TEST(StreamingDetect, PlmTracksFromScratchQualityUnderChurn) {
         Modularity().getQuality(fromScratch, final_->graph);
     EXPECT_TRUE(incremental.communities().isComplete());
     EXPECT_GT(qIncremental, qScratch - 0.05);
+}
+
+TEST(StreamingDetect, PlmSeededSweepMovesOnRmatS13) {
+    // On R-MAT s13 (~55k edges) one node's modularity gain is about
+    // vol(u)/ω, around 1e-4, so an absolute ΔQ floor of that order froze
+    // the warm partition: no batch moved a node, and the incremental
+    // modularity drifted below a cold run. Seeded moves take any positive
+    // gain, as static PLM does.
+    const SingleThreadScope pinned;
+    Random::setSeed(741);
+    StreamingGraph engine(RmatGenerator(13, 8).generate());
+    StreamingPlm incremental;
+    incremental.initialize(engine.pin()->graph);
+
+    StreamWorkloadConfig cfg;
+    cfg.nodes = engine.pin()->graph.upperNodeIdBound();
+    cfg.opsPerBatch = 256;
+    cfg.insertFraction = 0.5;
+    cfg.skew = 0.6;
+    cfg.seed = 742;
+    const StreamWorkload workload(cfg);
+    count moves = 0;
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        const BatchResult result =
+            engine.apply(workload.batch(i, engine.pin()->graph),
+                         StreamApplyMode::Permissive);
+        if (result.touched.empty()) continue;
+        incremental.applyBatch(engine.pin()->graph, result.touched);
+        moves += incremental.lastMoves();
+    }
+
+    const SnapshotPtr last = engine.pin();
+    Random::setSeed(743);
+    const Partition fromScratch = Plm().runFrozen(last->graph);
+    const double qIncremental =
+        Modularity().getQuality(incremental.communities(), last->graph);
+    const double qScratch = Modularity().getQuality(fromScratch, last->graph);
+    EXPECT_GT(moves, 0u);
+    // Over twelve workload seeds the gap to the cold run measured at most
+    // 2.2e-3 with any-positive-gain moves, and 2.3e-2 under a 2e-4 floor.
+    EXPECT_GT(qIncremental, qScratch - 5e-3);
 }
 
 TEST(StreamingDetect, PlmSingleThreadedRunsAreIdentical) {

@@ -13,8 +13,10 @@ those with a tight tolerance. Absolute rates (``updates_per_sec``) only
 get a loose floor that catches order-of-magnitude collapses.
 
 Each ``--metric`` is ``NAME`` or ``NAME:TOLERANCE`` (allowed relative
-loss, default --tolerance). With no --metric the historical default
-``speedup_tuned_vs_baseline`` is checked — the BENCH_plm.json contract.
+loss, default --tolerance). A dotted ``NAME`` reaches into a nested
+object of the instance, e.g. ``incremental.moves``. With no --metric the
+historical default ``speedup_tuned_vs_baseline`` is checked — the
+BENCH_plm.json contract.
 Exit 0 when every shared instance's fresh value is within tolerance of
 the committed one, 1 otherwise.  Usage:
 
@@ -25,7 +27,8 @@ the committed one, 1 otherwise.  Usage:
     micro_stream --quick                 # writes ./BENCH_stream.json
     python3 tools/check_perf_regression.py \
         --committed BENCH_stream.json --fresh build/bench/BENCH_stream.json \
-        --metric speedup_batch_vs_rebuild:0.5 --metric updates_per_sec:0.9
+        --metric speedup_batch_vs_rebuild:0.5 --metric updates_per_sec:0.9 \
+        --metric incremental.moves:0.9
 """
 
 import argparse
@@ -39,12 +42,30 @@ def load_instances(path):
     return {inst["name"]: inst for inst in data.get("instances", [])}
 
 
+def lookup(inst, metric):
+    """The numeric value of a (dotted) metric name, or None if absent."""
+    value = inst
+    for part in metric.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return None
+        value = value[part]
+    return value if isinstance(value, (int, float)) else None
+
+
+def numeric_paths(obj, prefix=""):
+    for key, value in obj.items():
+        if isinstance(value, (int, float)):
+            yield prefix + key
+        elif isinstance(value, dict):
+            yield from numeric_paths(value, f"{prefix}{key}.")
+
+
 def metric_keys(instances):
-    """Every numeric field any instance carries (the gateable metrics)."""
+    """Every numeric field any instance carries, nested fields as dotted
+    names (the gateable metrics)."""
     keys = set()
     for inst in instances.values():
-        keys |= {k for k, v in inst.items()
-                 if k != "name" and isinstance(v, (int, float))}
+        keys |= set(numeric_paths(inst))
     return sorted(keys)
 
 
@@ -58,9 +79,10 @@ def parse_metric_spec(spec, default_tolerance):
 def check_metric(committed_path, fresh_path, metric, tolerance, verbose):
     committed_inst = load_instances(committed_path)
     fresh_inst = load_instances(fresh_path)
-    committed = {n: i[metric] for n, i in committed_inst.items()
-                 if metric in i}
-    fresh = {n: i[metric] for n, i in fresh_inst.items() if metric in i}
+    committed = {n: v for n, i in committed_inst.items()
+                 if (v := lookup(i, metric)) is not None}
+    fresh = {n: v for n, i in fresh_inst.items()
+             if (v := lookup(i, metric)) is not None}
 
     # A metric name no file carries is a misconfigured gate (typoed
     # --metric or a renamed bench field), not a pass: fail loudly and say
