@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include <omp.h>
@@ -146,6 +147,8 @@ count movePhaseImpl(const CsrGraph& g, Partition& zeta, double gamma,
 //  * Community volumes live in one shared array under `omp atomic`, as in
 //    movePhaseImpl. PlmKernelConfig selects the sweep schedule (flat guided
 //    vs degree-bucketed) and an optional active-set frontier.
+//  * A full sweep skips the row scan of a node that provably cannot move
+//    (SkipBound below), so later sweeps cost what changed, not 2m.
 // ---------------------------------------------------------------------------
 
 /// Fused-cell accumulator over integer counts (unweighted rows).
@@ -222,15 +225,84 @@ private:
     std::uint32_t generation_ = 1;
 };
 
-/// Per-thread state of the tuned kernel: the community-weight accumulator
-/// and this thread's slice of the next frontier. One pool slot per
-/// potential thread (ThreadLocalPool).
+/// Per-thread state of the tuned kernel: the community-weight accumulator,
+/// this thread's slice of the next frontier, and a full sweep's counters
+/// for the current round (drift units moved, nodes evaluated). One pool
+/// slot per potential thread (ThreadLocalPool), each on its own cache
+/// lines: every evaluation writes its slot.
 template <typename Cells>
-struct MoveScratch {
+struct alignas(64) MoveScratch {
     explicit MoveScratch(count universe) : acc(universe) {}
     Cells acc;
     std::vector<node> frontier;
+    std::uint64_t movedUnits = 0;
+    count evaluated = 0;
 };
+
+/// A full sweep evaluates every node each round, yet after the first few
+/// rounds most nodes provably cannot move. When u is evaluated in round e
+/// and stays, slack(u) = −max_D score(D) ≥ 0 (+∞ without a candidate).
+/// While neither u nor a neighbor moves, every ω(u,·) stays as it was and
+/// only community volumes drift: one move of x shifts vol(C) − vol(D) by
+/// at most 2·vol(x), so no score has grown by more than 2γ·vol(u)·V, V the
+/// volume moved since round e began. u is skipped while that bound cannot
+/// reach its slack.
+///
+/// V is counted in integer drift units, so the per-round totals and their
+/// differences are exact. On integer weights with γ = 1 and 2ω < 2^25,
+/// every score term, volume and bound is an exact integer in a double: a
+/// unit is one volume unit and the test is exact. Otherwise a unit is the
+/// power of two just above 2ω·2^-33, each move adds one more unit (which
+/// covers the rounding of its two community-volume updates), and a margin
+/// of 2^-40 of the largest score term covers the rounding of the scores at
+/// both evaluations, so a skip never overrules a full evaluation.
+class SkipBound {
+public:
+    SkipBound() = default;
+    SkipBound(const CsrGraph& g, double gamma, double twoOmega) {
+        const edgeweight* w =
+            g.isWeighted() ? g.weightArray().data() : nullptr;
+        const index entries = g.offsets()[g.upperNodeIdBound()];
+        const bool exact =
+            gamma == 1.0 && twoOmega < 0x1p25 &&
+            (w == nullptr || std::all_of(w, w + entries, [](edgeweight x) {
+                 return x == std::floor(x);
+             }));
+        if (exact) return;
+        // (Clamped so that 2^-unitExp stays finite on tiny weights.)
+        const int unitExp = std::max(std::ilogb(twoOmega) - 32, -1000);
+        perUnit_ = std::ldexp(1.0, -unitExp);
+        slopUnits_ = 1;
+        constexpr double pad = 0x1p-40;
+        driftScale_ = 2.0 * gamma * std::ldexp(1.0, unitExp) * (1.0 + pad);
+        margin_ = pad * std::max(1.0, gamma) * twoOmega;
+    }
+
+    /// Drift units charged for moving a node of volume `vol` (≥ vol; the
+    /// scaling by a power of two is exact).
+    std::uint64_t units(double vol) const {
+        return static_cast<std::uint64_t>(std::ceil(vol * perUnit_)) +
+               slopUnits_;
+    }
+
+    /// True if no score of a node of volume `volU` can have grown from
+    /// −slack to above 0 while `drift` units moved.
+    bool cannotMove(double volU, std::uint64_t drift, double slack) const {
+        return volU * (static_cast<double>(drift) * driftScale_ + margin_) <=
+               slack;
+    }
+
+private:
+    double perUnit_ = 1.0;
+    std::uint64_t slopUnits_ = 0;
+    double driftScale_ = 2.0;
+    double margin_ = 0.0;
+};
+
+/// Round stamps are 32-bit, and drift totals stay below 2^53 (exact case)
+/// and 2^64 up to this many sweeps. A phase allowed more (the PlmConfig
+/// default is 64) evaluates every node in every sweep.
+constexpr count kMaxSkipSweeps = count{1} << 24;
 
 /// Below this many work items a bucketed sweep loses: its three
 /// worksharing loops pay two extra barriers per iteration plus the bucket
@@ -315,12 +387,69 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
     // appends the node to its thread's frontier slice.
     std::vector<std::atomic<std::uint8_t>> pending(active ? bound : 0);
 
+    // SkipBound state, full sweeps only, 16 B per node: u's slack and the
+    // round it was last evaluated in (written only at u's own turn), and
+    // the last round in which u or a neighbor moved (written by movers).
+    // Rounds count from 1; movedBefore[r] holds the drift units moved
+    // before round r. The frontier and seeded sweeps allocate none of it
+    // and skip its work on one predictable branch.
+    const bool skipping = !active && maxIterations <= kMaxSkipSweeps;
+    const SkipBound skipBound =
+        skipping ? SkipBound(g, gamma, twoOmega) : SkipBound();
+    std::vector<double> slack(skipping ? bound : 0);
+    std::vector<std::uint32_t> evaluatedIn(skipping ? bound : 0, 0);
+    std::vector<std::atomic<std::uint32_t>> touchedIn(skipping ? bound : 0);
+    std::vector<std::uint64_t> movedBefore(skipping ? 2 : 0, 0);
+    std::uint32_t round = 0;
+
+    // The skip's per-node bookkeeping stays out of line: inlined into
+    // processNode it made GCC compile the row scan and candidate loop of
+    // every sweep, frontier and seeded ones included, about 1.5x slower.
+    //
+    // At u's turn: true if u's last evaluation proves it cannot move now,
+    // else u is stamped as evaluated in this round. The drift counts every
+    // round since u's last evaluation began, plus what this thread has
+    // moved in this round; other threads' moves of this round show after
+    // its barrier, so a round in which nothing moves is exact.
+    auto provenStuck = [&](node u, MoveScratch<Cells>& sc)
+        __attribute__((noinline)) {
+        std::uint32_t lastEvaluated;
+#pragma omp atomic read
+        lastEvaluated = evaluatedIn[u];
+        if (touchedIn[u].load(std::memory_order_relaxed) < lastEvaluated) {
+            double proven;
+#pragma omp atomic read
+            proven = slack[u];
+            const std::uint64_t drift = movedBefore[round] -
+                                        movedBefore[lastEvaluated] +
+                                        sc.movedUnits;
+            if (skipBound.cannotMove(nodeVolume[u], drift, proven)) {
+                return true;
+            }
+        }
+#pragma omp atomic write
+        evaluatedIn[u] = round;
+        ++sc.evaluated;
+        return false;
+    };
+    // u moved: charge its volume to this thread's drift and stamp u and
+    // its neighbors with this round.
+    auto recordMove = [&](node u, double volU, MoveScratch<Cells>& sc)
+        __attribute__((noinline)) {
+        sc.movedUnits += skipBound.units(volU);
+        touchedIn[u].store(round, std::memory_order_relaxed);
+        for (index i = offsets[u]; i < offsets[u + 1]; ++i) {
+            touchedIn[neighbors[i]].store(round, std::memory_order_relaxed);
+        }
+    };
+
     // The per-node evaluation, hoisted out of the parallel regions so all
     // three bucket loops (and the flat loop) share one definition. `moved`
     // binds to the enclosing loop's reduction variable; `sc` is the calling
     // thread's scratch slot, resolved once per region (per-node thread-id
     // lookups measurably drag the sweep).
     auto processNode = [&](node u, count& moved, MoveScratch<Cells>& sc) {
+        if (skipping && provenStuck(u, sc)) return;
         const index lo = offsets[u];
         const index hi = offsets[u + 1];
         const node current = zeta[u];
@@ -370,6 +499,9 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
         const double base = gammaVolU * volCurrent - twoOmega * weightToCurrent;
         node bestCommunity = current;
         double bestScore = 0.0;
+        // When skipping: the max score over all candidates, whose negation
+        // is the slack of a node that stays (+∞ without a candidate).
+        double maxScore = -std::numeric_limits<double>::infinity();
         for (const node candidate : acc.touched()) {
             if (candidate == current) continue;
             // grapr:benign-race(communityVolume): stale candidate volume
@@ -379,6 +511,7 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
             volCandidate = communityVolume[candidate];
             const double score = twoOmega * acc.get(candidate) -
                                  gammaVolU * volCandidate + base;
+            if (skipping) maxScore = std::max(maxScore, score);
             // Lowest-id tie break, exactly as movePhaseImpl.
             if (score > bestScore ||
                 (score == bestScore && candidate < bestCommunity)) {
@@ -410,6 +543,7 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
             zeta.set(u, bestCommunity);
             GRAPR_RACE_BENIGN_SITE("plm.moveTuned.zeta");
             ++moved;
+            if (skipping) recordMove(u, volU, sc);
             if (active) {
                 // u's move changes every neighbor's Δmod landscape: seed
                 // them into the next frontier (first flag-raiser appends).
@@ -423,6 +557,9 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
                     }
                 }
             }
+        } else if (skipping) {
+#pragma omp atomic write
+            slack[u] = -maxScore;
         }
     };
 
@@ -440,6 +577,7 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
     for (count iteration = 0;
          iteration < maxIterations && !work.empty(); ++iteration) {
         GRAPR_RACE_PHASE("plm.moveTuned");
+        round = static_cast<std::uint32_t>(iteration + 1);
         if (seeded) {
             for (const node u : work) {
                 if (!everEvaluated[u]) {
@@ -508,11 +646,23 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
         }
 
         totalMoves += movedThisRound;
+        auto evaluatedThisRound = static_cast<count>(work.size());
+        if (skipping) {
+            // The round's barrier has passed: fold the per-thread counters
+            // into the running drift total and the round's evaluations.
+            std::uint64_t roundUnits = 0;
+            evaluatedThisRound = 0;
+            for (std::size_t t = 0; t < scratch.size(); ++t) {
+                MoveScratch<Cells>& slot = scratch.slot(t);
+                roundUnits += slot.movedUnits;
+                evaluatedThisRound += slot.evaluated;
+                slot.movedUnits = 0;
+                slot.evaluated = 0;
+            }
+            movedBefore.push_back(movedBefore.back() + roundUnits);
+        }
         if (tracer) {
-            tracer->record(iteration + 1,
-                           active ? static_cast<count>(work.size())
-                                  : g.numberOfNodes(),
-                           movedThisRound);
+            tracer->record(iteration + 1, evaluatedThisRound, movedThisRound);
         }
         if (movedThisRound == 0) break;
 

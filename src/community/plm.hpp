@@ -10,10 +10,14 @@
 // see coarsening/) and the method recurses, finally prolonging the coarse
 // solution and — for PLMR — re-running the move phase as refinement.
 //
-// The move phase runs over all nodes in parallel with guided scheduling and
-// tolerates stale data: concurrent moves may invalidate a Δmod score
-// between evaluation and application, occasionally producing a
+// Each sweep of the move phase visits all nodes in parallel and tolerates
+// stale data: concurrent moves may invalidate a Δmod score between
+// evaluation and application, occasionally producing a
 // modularity-decreasing move, which later iterations correct (§III-B).
+// After the first sweep it skips the row scan of every node that provably
+// cannot move: its best score at its last evaluation lies further below
+// zero than the community volumes moved since can lift it, and no neighbor
+// has moved.
 // Following the paper's engineering result, the implementation does NOT
 // cache per-node neighbor-community weights (maps + locks proved slower);
 // it recomputes them per evaluation in per-thread scratch arrays and only
@@ -134,6 +138,16 @@ public:
     /// complete with ids < zeta.upperBound(). Equal-gain candidates resolve
     /// to the lowest community id, so single-threaded runs are
     /// deterministic and independent of neighbor order.
+    ///
+    /// Without kernel.activeNodes every sweep visits all nodes but skips
+    /// the row scan of a node whose last evaluation proves it cannot move
+    /// (no neighbor moved since, and the community volumes moved since
+    /// cannot close its score gap). A skip never changes a decision, so a
+    /// one-thread run stays bit-identical to movePhaseReference, and a
+    /// phase that ends below the cap ends on a sweep in which no node
+    /// could move, at any thread count. `tracer`, if non-null, gets one
+    /// record per sweep: the nodes actually evaluated (skipped nodes and
+    /// nodes without neighbors are not counted) and the nodes moved.
     static count movePhase(const CsrGraph& g, Partition& zeta, double gamma,
                            count maxIterations, IterationTracer* tracer,
                            const PlmKernelConfig& kernel = {});

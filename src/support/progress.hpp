@@ -11,7 +11,7 @@ namespace grapr {
 
 /// One record per algorithm iteration; semantics of the two counters are
 /// algorithm-defined (PLP: active nodes entering the iteration / labels
-/// updated in it; PLM move phase: nodes moved / total nodes scanned).
+/// updated in it; PLM move phase: nodes evaluated / nodes moved).
 struct IterationRecord {
     count iteration = 0;
     count active = 0;

@@ -1,21 +1,27 @@
 #pragma once
-// RAII guard for tests that need the deterministic sequential schedule:
-// pins Parallel to one OpenMP thread for its lifetime and restores the
-// previous thread count on exit, also when a failed ASSERT returns early.
+// RAII guards for tests that pin the OpenMP thread count: Parallel runs with
+// the given number of threads for the guard's lifetime, and the previous
+// count comes back on exit, also when a failed ASSERT returns early.
 
 #include "support/parallel.hpp"
 
 namespace grapr::testing {
 
-class SingleThreadScope {
+class ThreadCountScope {
 public:
-    SingleThreadScope() { Parallel::setThreads(1); }
-    ~SingleThreadScope() { Parallel::setThreads(restore_); }
-    SingleThreadScope(const SingleThreadScope&) = delete;
-    SingleThreadScope& operator=(const SingleThreadScope&) = delete;
+    explicit ThreadCountScope(int threads) { Parallel::setThreads(threads); }
+    ~ThreadCountScope() { Parallel::setThreads(restore_); }
+    ThreadCountScope(const ThreadCountScope&) = delete;
+    ThreadCountScope& operator=(const ThreadCountScope&) = delete;
 
 private:
     const int restore_ = Parallel::maxThreads();
+};
+
+/// The deterministic sequential schedule: one thread.
+class SingleThreadScope : public ThreadCountScope {
+public:
+    SingleThreadScope() : ThreadCountScope(1) {}
 };
 
 } // namespace grapr::testing

@@ -1,10 +1,13 @@
 // Move-phase kernel engineering (PR 6): every schedule of the tuned PLM
 // kernel must make bit-identical decisions to the generic reference kernel
-// in single-threaded runs, on the unweighted input and on its weighted
-// level-1 coarse graph; the semantic opt-ins (active-set frontier, vertex
-// following, PLP frontier sweeps) are pinned by their own property and
-// regression tests. Plus unit coverage for the building blocks:
-// ThreadLocalPool, VertexFollowing::reduce.
+// in single-threaded runs, at three resolutions, on the unweighted input,
+// on a real-weighted copy and on its integer-weighted level-1 coarse graph;
+// the full sweep's skip of nodes that cannot move must keep that identity,
+// end every converged phase on a certified sweep, and actually skip. The
+// semantic opt-ins (active-set frontier, vertex following, PLP frontier
+// sweeps) are pinned by their own property and regression tests. Plus unit
+// coverage for the building blocks: ThreadLocalPool,
+// VertexFollowing::reduce.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@
 
 using namespace grapr;
 using grapr::testing::SingleThreadScope;
+using grapr::testing::ThreadCountScope;
 
 namespace {
 
@@ -67,24 +71,61 @@ std::vector<std::pair<std::string, PlmKernelConfig>> kernelGrid() {
     return grid;
 }
 
+/// A copy of g with every edge weighted 0.1 + U[0,1): on real weights the
+/// scores round, so the skip test runs with its margin.
+Graph realWeightedCopy(const Graph& g, std::uint64_t seed) {
+    Random::setSeed(seed);
+    Graph weighted(g.upperNodeIdBound(), true);
+    g.forEdges([&](node u, node v, edgeweight) {
+        weighted.addEdge(u, v, 0.1 + Random::real());
+    });
+    return weighted;
+}
+
 /// Runs the reference kernel and every grid config on `csr` from the
-/// singleton clustering; each must reproduce the reference's moves and
-/// labels exactly. Returns the reference partition.
+/// singleton clustering at γ = 1, 0.7 and 1.3; each must reproduce the
+/// reference's moves and labels exactly. Returns the γ = 1 reference
+/// partition.
 Partition expectGridMatchesReference(const CsrGraph& csr,
                                      const std::string& level) {
-    Partition reference(csr.upperNodeIdBound());
-    reference.allToSingletons();
-    const count referenceMoves =
-        Plm::movePhaseReference(csr, reference, 1.0, 64, nullptr);
+    Partition result;
+    for (const double gamma : {1.0, 0.7, 1.3}) {
+        Partition reference(csr.upperNodeIdBound());
+        reference.allToSingletons();
+        const count referenceMoves =
+            Plm::movePhaseReference(csr, reference, gamma, 64, nullptr);
 
-    for (const auto& [label, kernel] : kernelGrid()) {
-        Partition zeta(csr.upperNodeIdBound());
-        zeta.allToSingletons();
-        const count moves = Plm::movePhase(csr, zeta, 1.0, 64, nullptr, kernel);
-        EXPECT_EQ(moves, referenceMoves) << level << " " << label;
-        EXPECT_EQ(zeta.vector(), reference.vector()) << level << " " << label;
+        for (const auto& [label, kernel] : kernelGrid()) {
+            Partition zeta(csr.upperNodeIdBound());
+            zeta.allToSingletons();
+            const count moves =
+                Plm::movePhase(csr, zeta, gamma, 64, nullptr, kernel);
+            EXPECT_EQ(moves, referenceMoves)
+                << level << " gamma=" << gamma << " " << label;
+            EXPECT_EQ(zeta.vector(), reference.vector())
+                << level << " gamma=" << gamma << " " << label;
+        }
+        if (gamma == 1.0) result = reference;
     }
-    return reference;
+    return result;
+}
+
+/// ROADMAP item 2's convergence certificate, applied to the default
+/// kernel: when movePhase ends on a sweep that moved nothing (below its
+/// cap), one reference sweep from its result moves nothing either.
+/// Returns whether the phase converged, i.e. whether anything was checked.
+bool expectCertified(const CsrGraph& csr, double gamma,
+                     const std::string& label) {
+    Partition zeta(csr.upperNodeIdBound());
+    zeta.allToSingletons();
+    IterationTracer tracer;
+    Plm::movePhase(csr, zeta, gamma, 64, &tracer);
+    if (tracer.records().empty() || tracer.records().back().updated != 0) {
+        return false;
+    }
+    EXPECT_EQ(Plm::movePhaseReference(csr, zeta, gamma, 1, nullptr), 0u)
+        << label << " gamma=" << gamma;
+    return true;
 }
 
 } // namespace
@@ -103,11 +144,53 @@ TEST_P(MoveKernelEquivalence, AllVariantsBitIdenticalSingleThreaded) {
     // its coarse graph under the reference partition, has integer weights
     // and self-loops, so it pins the weighted cells directly.
     const Partition level0 = expectGridMatchesReference(csr, "level0");
+    expectGridMatchesReference(CsrGraph(realWeightedCopy(g, seed + 80)),
+                               "real-weighted");
     const CsrCoarseningResult coarse =
         ParallelPartitionCoarsening(true).run(csr, level0);
     ASSERT_TRUE(coarse.coarseGraph.isWeighted());
     ASSERT_GT(coarse.coarseGraph.numberOfSelfLoops(), 0u);
     expectGridMatchesReference(coarse.coarseGraph, "level1");
+}
+
+TEST_P(MoveKernelEquivalence, DefaultKernelEndsOnCertifiedSweep) {
+    const auto& [family, seed] = GetParam();
+    const Graph g = makeInstance(family, seed);
+    const CsrGraph csr(g);
+    const CsrGraph weighted(realWeightedCopy(g, seed + 80));
+    Partition level0(csr.upperNodeIdBound());
+    level0.allToSingletons();
+    {
+        SingleThreadScope once;
+        Plm::movePhaseReference(csr, level0, 1.0, 64, nullptr);
+    }
+    const CsrGraph coarse =
+        ParallelPartitionCoarsening(true).run(csr, level0).coarseGraph;
+    const std::pair<const CsrGraph*, std::string> graphs[] = {
+        {&csr, "level0"}, {&weighted, "real-weighted"}, {&coarse, "level1"}};
+
+    // One pinned thread, then four unpinned threads, whose sweeps race and
+    // so are repeated: a phase that converges must still end on a sweep in
+    // which no node could move.
+    for (const int threads : {1, 4}) {
+        ThreadCountScope scope(threads);
+        const int repetitions = threads == 1 ? 1 : 10;
+        count checked = 0;
+        for (const auto& [graph, level] : graphs) {
+            for (const double gamma : {1.0, 0.7}) {
+                for (int r = 0; r < repetitions; ++r) {
+                    checked += expectCertified(
+                        *graph, gamma,
+                        level + " threads=" + std::to_string(threads));
+                }
+            }
+        }
+        if (threads == 1) {
+            EXPECT_EQ(checked, 6u);
+        } else {
+            EXPECT_GT(checked, 0u);
+        }
+    }
 }
 
 TEST_P(MoveKernelEquivalence, FullPlmBitIdenticalAcrossKernelsSingleThreaded) {
@@ -180,6 +263,41 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("erdos", "ba", "rmat"),
                        ::testing::Values(1u, 2u, 3u)),
     familyLabel);
+
+// --- skipping nodes that cannot move ---------------------------------------
+
+TEST(MoveKernelSkip, SkipsConvergedNodesOnRmatS13) {
+    // The anchor instance of bench/micro_plm_kernels, one thread: the
+    // default full sweep must match the reference bit for bit while
+    // evaluating at most 80% of the nodes its later sweeps cover.
+    SingleThreadScope once;
+    Random::setSeed(6013);
+    const CsrGraph csr(RmatGenerator(13, 8).generate());
+
+    Partition reference(csr.upperNodeIdBound());
+    reference.allToSingletons();
+    const count referenceMoves =
+        Plm::movePhaseReference(csr, reference, 1.0, 64, nullptr);
+
+    Partition zeta(csr.upperNodeIdBound());
+    zeta.allToSingletons();
+    IterationTracer tracer;
+    const count moves = Plm::movePhase(csr, zeta, 1.0, 64, &tracer);
+    EXPECT_EQ(moves, referenceMoves);
+    EXPECT_EQ(zeta.vector(), reference.vector());
+
+    const std::vector<IterationRecord>& sweeps = tracer.records();
+    ASSERT_GE(sweeps.size(), 3u);
+    count laterEvaluations = 0;
+    for (std::size_t i = 1; i < sweeps.size(); ++i) {
+        laterEvaluations += sweeps[i].active;
+    }
+    const auto laterSwept =
+        static_cast<double>((sweeps.size() - 1) * csr.numberOfNodes());
+    EXPECT_LE(static_cast<double>(laterEvaluations), 0.8 * laterSwept)
+        << laterEvaluations << " of " << laterSwept << " over "
+        << sweeps.size() << " sweeps";
+}
 
 // --- vertex following -------------------------------------------------------
 
