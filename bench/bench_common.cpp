@@ -12,7 +12,7 @@
 #include "generators/lfr.hpp"
 #include "generators/planted_partition.hpp"
 #include "generators/rmat.hpp"
-#include "io/binary_io.hpp"
+#include "io/binary_csr.hpp"
 #include "quality/modularity.hpp"
 #include "support/logging.hpp"
 #include "support/random.hpp"
@@ -127,25 +127,29 @@ std::string dataDirectory() {
     return dir;
 }
 
-Graph loadReplica(const ReplicaSpec& spec) {
-    const std::string cachePath =
-        dataDirectory() + "/" + spec.name + (quickMode() ? ".quick" : "") +
-        ".grpr";
+Graph loadCached(const std::string& name, std::uint64_t seed,
+                 const std::function<Graph()>& make) {
+    const std::string cachePath = dataDirectory() + "/" + name + ".gcsr";
     if (std::filesystem::exists(cachePath)) {
         try {
-            return io::readBinary(cachePath);
+            return io::readBinaryCsr(cachePath).graph.toGraph();
         } catch (const std::exception& e) {
             // A truncated or stale cache (killed run, format change) must
             // not wedge the whole benchmark suite: regenerate instead.
-            logWarn("loadReplica: corrupt cache ", cachePath, " (", e.what(),
+            logWarn("loadCached: corrupt cache ", cachePath, " (", e.what(),
                     "), regenerating");
             std::filesystem::remove(cachePath);
         }
     }
-    Random::setSeed(nameSeed(spec.name));
-    Graph g = spec.make();
-    io::writeBinary(g, cachePath);
+    Random::setSeed(seed);
+    Graph g = make();
+    io::writeBinaryCsr(CsrGraph(g), 0, cachePath);
     return g;
+}
+
+Graph loadReplica(const ReplicaSpec& spec) {
+    return loadCached(spec.name + (quickMode() ? ".quick" : ""),
+                      nameSeed(spec.name), spec.make);
 }
 
 RunResult measureDetector(CommunityDetector& detector, const Graph& g,

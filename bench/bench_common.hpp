@@ -10,6 +10,7 @@
 // signature (degree skew, clustering, component structure) at a scale a
 // single-core CI container can sweep in minutes.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -29,8 +30,14 @@ struct ReplicaSpec {
 /// its per-network charts by graph size).
 std::vector<ReplicaSpec> replicaSuite();
 
-/// Generate-or-load a replica: cached as data/<name>.grpr next to the
-/// build tree. Deterministic: generation always reseeds from the name.
+/// Generate-or-load a graph cached as <dataDirectory()>/<name>.gcsr: reseed
+/// with `seed`, call `make` and write the cache when it is missing or
+/// unreadable (a corrupt cache is logged, removed and regenerated).
+Graph loadCached(const std::string& name, std::uint64_t seed,
+                 const std::function<Graph()>& make);
+
+/// Generate-or-load a replica through loadCached. Deterministic:
+/// generation always reseeds from the name.
 Graph loadReplica(const ReplicaSpec& spec);
 
 /// Directory used for cached instances ("data", created on demand).

@@ -12,11 +12,8 @@
 #include "community/plm.hpp"
 #include "community/plp.hpp"
 #include "generators/rmat.hpp"
-#include "io/binary_io.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-
-#include <filesystem>
 
 using namespace grapr;
 using namespace grapr::bench;
@@ -36,19 +33,12 @@ int main() {
     int threads = 1;
     for (int step = 0; step < steps; ++step, threads *= 2) {
         const count scale = baseScale + static_cast<count>(step);
-        const std::string cachePath = dataDirectory() + "/weak_s" +
-                                      std::to_string(scale) + ".grpr";
-        Graph g = [&] {
-            if (std::filesystem::exists(cachePath)) {
-                return io::readBinary(cachePath);
-            }
-            Random::setSeed(100 + scale);
-            Graph fresh =
-                RmatGenerator(scale, edgeFactor, 0.57, 0.19, 0.19, 0.05)
-                    .generate();
-            io::writeBinary(fresh, cachePath);
-            return fresh;
-        }();
+        const auto make = [&] {
+            return RmatGenerator(scale, edgeFactor, 0.57, 0.19, 0.19, 0.05)
+                .generate();
+        };
+        Graph g = loadCached("weak_s" + std::to_string(scale), 100 + scale,
+                             make);
 
         Parallel::setThreads(threads);
         Random::setSeed(10);

@@ -14,10 +14,7 @@
 #include "baselines/registry.hpp"
 #include "bench_common.hpp"
 #include "generators/lfr.hpp"
-#include "io/binary_io.hpp"
 #include "support/random.hpp"
-
-#include <filesystem>
 
 using namespace grapr;
 using namespace grapr::bench;
@@ -29,13 +26,7 @@ int main() {
     // strong communities — uk-2007-05's signature): the largest instance
     // that generates and sweeps in reasonable time on this container.
     const count n = quickMode() ? 50000 : 1000000;
-    const std::string cachePath =
-        dataDirectory() + "/massive_mu15_n" + std::to_string(n) + ".grpr";
-    Graph g = [&] {
-        if (std::filesystem::exists(cachePath)) {
-            return io::readBinary(cachePath);
-        }
-        Random::setSeed(9);
+    Graph g = loadCached("massive_mu15_n" + std::to_string(n), 9, [&] {
         LfrParameters params;
         params.n = n;
         params.minDegree = 6;
@@ -45,10 +36,8 @@ int main() {
         params.maxCommunitySize = 5000;
         params.communityExponent = 1.3;
         params.mu = 0.15;
-        Graph fresh = LfrGenerator(params).generate();
-        io::writeBinary(fresh, cachePath);
-        return fresh;
-    }();
+        return LfrGenerator(params).generate();
+    });
     std::printf("# instance: web-shaped LFR  n=%llu  m=%llu\n",
                 static_cast<unsigned long long>(g.numberOfNodes()),
                 static_cast<unsigned long long>(g.numberOfEdges()));

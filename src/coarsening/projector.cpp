@@ -13,9 +13,8 @@ Partition ClusteringProjector::projectBack(
     for (std::int64_t v = 0; v < n; ++v) {
         const node coarse = fineToCoarse[static_cast<std::size_t>(v)];
         if (coarse != none) {
-            // grapr:lint-allow(benign-race): not a published label — each
-            // fine node is written exactly once and `fine` is not read
-            // until the region ends.
+            // Not a published label — each fine node is written exactly
+            // once and `fine` is not read until the region ends.
             fine.set(static_cast<node>(v), coarseSolution[coarse]);
         }
     }

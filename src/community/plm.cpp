@@ -783,9 +783,6 @@ count movePhaseCachedMapsImpl(const CsrGraph& g, Partition& zeta, double gamma,
                 // labels come from the locked per-node cached maps — so
                 // the one-writer-per-node zeta.set is a disjoint write,
                 // not a tolerated race.
-                // grapr:lint-allow(benign-race): proven disjoint by
-                // grapr_analyze parallel-effects (no foreign zeta read in
-                // this region); the textual publish rule is a pre-screen.
                 zeta.set(u, bestCommunity);
                 // Propagate the move into every neighbor's cached map.
                 g.forNeighborsOf(u, [&](node v, edgeweight w) {

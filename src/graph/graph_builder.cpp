@@ -99,10 +99,9 @@ Graph GraphBuilder::build(bool dedup, bool sumWeights) {
     for (std::int64_t v = 0; v < nodes; ++v) {
         const auto sv = static_cast<std::size_t>(v);
         const count deg = slots[sv].load(std::memory_order_relaxed);
-        // grapr:lint-allow(container-mutation): row sv is resized only by
-        // the iteration that owns sv — rows are disjoint across threads.
+        // Row sv is resized only by the iteration that owns sv — rows are
+        // disjoint across threads.
         g.adjacency_[sv].resize(deg);
-        // grapr:lint-allow(container-mutation): same disjoint-row argument.
         if (weighted_) g.weights_[sv].resize(deg);
         slots[sv].store(0, std::memory_order_relaxed); // reuse as cursor
     }

@@ -33,7 +33,6 @@
 #include "structures/union_find.hpp"
 
 #include "io/binary_csr.hpp"
-#include "io/binary_io.hpp"
 #include "io/io_error.hpp"
 #include "io/mapped_file.hpp"
 #include "io/parallel_edgelist.hpp"

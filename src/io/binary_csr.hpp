@@ -3,9 +3,11 @@
 // CsrGraph, used by StreamingGraph durability as the checkpoint the WAL
 // tail replays against, and the seed of the ROADMAP CSR-on-disk format.
 //
-// Layout (native byte order, same policy as the GRPR binary graph
-// format — a checkpoint is a local durability artifact, not an
-// interchange file; 8-byte-aligned arrays):
+// It is also the one binary graph format: the CLI reads and writes it as
+// `.gcsr`, and the benchmarks cache generated instances in it.
+//
+// Layout (native byte order — a checkpoint is a local durability
+// artifact, not an interchange file; 8-byte-aligned arrays):
 //
 //   offset  size                 field
 //   0       4                    magic "GCSR"

@@ -10,7 +10,7 @@
 
 namespace grapr::io {
 
-Graph readEdgeList(const std::string& path, const EdgeListOptions& options,
+Graph readEdgeList(const std::string& path, const ParseOptions& options,
                    std::vector<std::uint64_t>* originalIds) {
     // Route through the parallel mmap pipeline (parallel_edgelist.hpp):
     // chunked tokenisation, two-pass CSR build, then one thaw back into
@@ -18,11 +18,7 @@ Graph readEdgeList(const std::string& path, const EdgeListOptions& options,
     // (first-appearance remap, "grapr edge list: n=" header handling,
     // directed-input dedup, strict errors) are unchanged; errors are now
     // IoError with the exact line and byte offset.
-    ParseOptions parseOptions;
-    parseOptions.weighted = options.weighted;
-    parseOptions.directedInput = options.directedInput;
-    parseOptions.comment = options.comment;
-    return readEdgeListCsr(path, parseOptions, originalIds).toGraph();
+    return readEdgeListCsr(path, options, originalIds).toGraph();
 }
 
 void writeEdgeList(const Graph& g, const std::string& path, bool withWeights) {

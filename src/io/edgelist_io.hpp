@@ -8,19 +8,13 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "io/parse_options.hpp"
 
 namespace grapr::io {
 
-struct EdgeListOptions {
-    bool weighted = false;     ///< expect a third column with edge weights
-    bool directedInput = false; ///< treat (u,v) and (v,u) as one undirected
-                                ///< edge (dedup applied)
-    char comment = '#';
-};
-
 /// Read an edge list. Returns the graph; if `originalIds` is non-null it
 /// receives the original id of every remapped node.
-Graph readEdgeList(const std::string& path, const EdgeListOptions& options = {},
+Graph readEdgeList(const std::string& path, const ParseOptions& options = {},
                    std::vector<std::uint64_t>* originalIds = nullptr);
 
 /// Write g as "u v [w]" lines (each undirected edge once).

@@ -244,15 +244,11 @@ void dedupRows(std::vector<index>& offsets, std::vector<node>& neighbors,
                 const node u = neighbors[i];
                 if (stamp[u] == generation) continue;
                 stamp[u] = generation;
-                // grapr:lint-allow(benign-race): in-place compaction of row
-                // v — write <= i stays inside [offsets[v], offsets[v+1]),
-                // and rows are disjoint across threads.
                 // grapr:analyze-allow(shared-write-safety): the "foreign"
                 // read neighbors[i] is this thread's own row scan (write
                 // <= i within the same slice) — in-place compaction is
                 // beyond the effect lattice.
                 neighbors[write] = u;
-                // grapr:lint-allow(benign-race): same in-row compaction.
                 // grapr:analyze-allow(shared-write-safety): same in-row
                 // compaction; weights[i] is read within the owned slice.
                 if (weighted) weights[write] = weights[i];

@@ -10,9 +10,10 @@
 //
 // Site names follow `<subsystem>.<operation>[.<step>]`, all lowercase
 // (e.g. "wal.append.write", "checkpoint.rename", "engine.publish").
-// Sites are FORBIDDEN inside OpenMP parallel regions — grapr_lint rule
-// `fault-point-in-parallel` — because a trigger throws or kills and must
-// fire on the single-threaded commit path only, never mid-team.
+// Sites are FORBIDDEN inside OpenMP parallel regions, at any call depth
+// — grapr_analyze check `fault-point-in-parallel` — because a trigger
+// throws or kills and must fire on the single-threaded commit path only,
+// never mid-team.
 //
 // Arming. Nothing fires unless a site is armed, either via the
 // environment:

@@ -45,25 +45,23 @@ count prefixSum(std::vector<count>& values) {
             count local = 0;
             for (std::size_t i = lo; i < hi; ++i) {
                 const count v = values[i];
-                // grapr:lint-allow(benign-race): block [lo, hi) belongs to
-                // exactly one loop iteration; no other thread touches it.
                 // grapr:analyze-allow(shared-write-safety): barrier-phased
                 // block ownership — i ranges over this iteration's [lo, hi)
                 // only, a slice the derived-index rule cannot express.
                 values[i] = local;
                 local += v;
             }
-            // grapr:lint-allow(benign-race): slot st+1 is owned by this
-            // iteration; the single below reads it only after the implicit
-            // barrier of this worksharing loop.
+            // grapr:analyze-allow(shared-write-safety): slot st+1 is owned
+            // by this iteration; the single below reads it only after the
+            // implicit barrier of this worksharing loop.
             blockTotals[st + 1] = local;
         }
 #pragma omp single
         {
             for (std::size_t b = 1; b < blockTotals.size(); ++b) {
-                // grapr:lint-allow(compound-shared-write): inside `omp
-                // single` — exactly one thread runs this scan, bracketed
-                // by the implicit barriers of single and the loops.
+                // Inside `omp single`: exactly one thread runs this scan,
+                // bracketed by the implicit barriers of single and the
+                // loops.
                 blockTotals[b] += blockTotals[b - 1];
             }
         }
@@ -74,8 +72,6 @@ count prefixSum(std::vector<count>& values) {
             const std::size_t hi = std::min(lo + chunk, n);
             const count offset = blockTotals[st];
             if (offset != 0) {
-                // grapr:lint-allow(compound-shared-write): block [lo, hi)
-                // is owned by this iteration — no concurrent writer.
                 // grapr:analyze-allow(shared-write-safety): same
                 // barrier-phased block ownership as the downsweep above.
                 for (std::size_t i = lo; i < hi; ++i) values[i] += offset;

@@ -1,6 +1,7 @@
-// Lint fixture: backslash-continued and comment-spanned pragmas. The
-// `grapr_lint_continued` ctest invokes the linter on this file and
-// expects a NONZERO exit (WILL_FAIL). This file is never compiled.
+// Backslash-continued and comment-spanned pragmas: model.directives()
+// joins a directive's continuation lines BEFORE deciding whether it is
+// an omp pragma. Each finding carries a grapr:expect marker (inside a
+// /* */ comment where the line ends in a backslash).
 //
 // Seeded violations, in order:
 //   1. omp-default-none   the pragma is split as `#pragma \` + `omp ...`;
@@ -13,12 +14,14 @@
 // The remaining regions are LEGAL and must stay silent: clauses that
 // live on continuation lines — including one reached through a block
 // comment that spans the newline — count as part of the pragma.
+//
+// This file is analyzed, never compiled.
 
 #include <vector>
 
 void fixtureSplitDirective(std::vector<int>& data) {
     // (1) joined text is `#pragma omp parallel for` with no default(none)
-#pragma \
+#pragma /* grapr:expect(omp-default-none) */ \
     omp parallel for
     for (int i = 0; i < 100; ++i) {
         data[i] = i;
@@ -27,7 +30,7 @@ void fixtureSplitDirective(std::vector<int>& data) {
 
 void fixtureDeepContinuation(std::vector<int>& data) {
     // (2) the banned clause only appears after joining both splices
-#pragma omp parallel for \
+#pragma omp parallel for /* grapr:expect(no-default-shared) */ \
     schedule(static)     \
     default(shared)
     for (int i = 0; i < 100; ++i) {

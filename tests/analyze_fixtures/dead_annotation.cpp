@@ -1,7 +1,7 @@
-// Seeded annotation-liveness violations for grapr_analyze (ctest runs
-// this fixture with WILL_FAIL). An annotation that anchors nothing is a
-// contract exception nobody is using — worse than none, because readers
-// trust it.
+// Seeded annotation-liveness violations for grapr_analyze (each finding
+// carries a grapr:expect marker). An annotation that anchors nothing, or
+// gives no reason, is a contract exception nobody can review — worse
+// than none, because readers trust it.
 //
 // This file is analyzed, never compiled.
 
@@ -12,22 +12,29 @@ namespace grapr {
 void updateLabels(Partition& zeta, node u, node target) {
     // (1) Stale benign-race annotation: `labels` is not touched anywhere
     // in the following lines (the code it excused was refactored away).
-    // grapr:benign-race(labels): asynchronous label publish
+    // grapr:benign-race(labels): asynchronous label publish  grapr:expect(annotation-liveness)
     zeta.set(u, target);
 }
 
-// (2) Unused lint-allow: nothing below violates container-mutation, so
-// the suppression gates nothing. grapr_lint reports this as a warning;
-// the analyzer escalates it to an error.
+// (2) Unused analyze-allow: nothing below narrows an index, so the
+// suppression gates nothing.
 void compactOnly(Partition& zeta) {
-    // grapr:lint-allow(container-mutation): rows are thread-private
+    // grapr:analyze-allow(index-width): ids fit in 32 bits  grapr:expect(annotation-liveness)
     zeta.compact();
 }
 
 // (3) analyze-allow naming a check that does not exist (typo'd id).
 void typoAllow(Partition& zeta, node u) {
-    // grapr:analyze-allow(index-witdh): bounded by construction
+    // grapr:analyze-allow(index-witdh): bounded by construction  grapr:expect(annotation-liveness)
     zeta.set(u, 0);
+}
+
+// (4) analyze-allow without the `: <reason>` part: it still suppresses
+// the narrowing below, but nobody can review why.
+int reasonlessAllow(const Partition& zeta) {
+    // grapr:analyze-allow(index-width)  grapr:expect(annotation-liveness)
+    int n = zeta.numberOfElements();
+    return n;
 }
 
 // Live annotation — must NOT be reported: the publish call is right
@@ -35,6 +42,15 @@ void typoAllow(Partition& zeta, node u) {
 void legalAnnotation(Partition& zeta, node u, node target) {
     // grapr:benign-race(zeta): label published non-atomically by design
     zeta.set(u, target);
+}
+
+// Live allow whose reason wraps onto the next comment line — must NOT be
+// reported.
+int legalWrappedAllow(const Partition& zeta) {
+    // grapr:analyze-allow(index-width):
+    // a partition of this size never exceeds 2^31 elements.
+    int n = zeta.numberOfElements();
+    return n;
 }
 
 } // namespace grapr

@@ -1,9 +1,10 @@
 // A fault-injection site reached from a parallel region through TWO
 // same-file call levels: region -> outerHelper -> innerHelper -> site.
-// grapr_lint's one-level rule cannot prove this an error, so it must emit
-// the advisory WARNING pointing at grapr_analyze instead of staying
-// silent (the ctest entry asserts the warning text; exit stays 0 because
-// the analyzer owns the authoritative verdict).
+// fault-point-in-parallel's cross-TU fixed point reports the region's
+// call and the helper's call that continues the chain (grapr:expect
+// markers).
+//
+// This file is analyzed, never compiled.
 #define GRAPR_FAULT_POINT(site) ((void)0)
 
 void innerHelper() {
@@ -11,12 +12,12 @@ void innerHelper() {
 }
 
 void outerHelper() {
-    innerHelper();
+    innerHelper();  // grapr:expect(fault-point-in-parallel)
 }
 
 void deepChain(long long n) {
 #pragma omp parallel for default(none) shared(n)
     for (long long i = 0; i < n; ++i) {
-        outerHelper();
+        outerHelper();  // grapr:expect(fault-point-in-parallel)
     }
 }

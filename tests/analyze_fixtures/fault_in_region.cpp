@@ -1,8 +1,6 @@
-// Lint fixture: an otherwise-clean parallel region containing a
-// fault-injection site. The `grapr_lint_fault` ctest invokes the linter
-// on this file and expects a NONZERO exit (WILL_FAIL) — if the lint ever
-// "passes" this file, the fault-point-in-parallel rule regressed. This
-// file is never compiled.
+// An otherwise-clean parallel region containing a fault-injection site:
+// fault-point-in-parallel must report both seeded sites (each carries a
+// grapr:expect marker).
 //
 // Seeded violations, in order:
 //   1. fault-point-in-parallel   GRAPR_FAULT_POINT inside a team
@@ -12,6 +10,8 @@
 // cannot cross the OpenMP region boundary — the runtime aborts) or kills
 // the process mid-team (tearing the other threads through arbitrary
 // state). Fault sites belong on the single-threaded commit path only.
+//
+// This file is analyzed, never compiled.
 
 #include <vector>
 
@@ -22,7 +22,7 @@ void fixtureFaultPointInRegion(std::vector<int>& data) {
 #pragma omp parallel for default(none) shared(data)
     for (int i = 0; i < 100; ++i) {
         // (1) a triggered hit here throws across the region boundary
-        GRAPR_FAULT_POINT("fixture.region.hit");
+        GRAPR_FAULT_POINT("fixture.region.hit");  // grapr:expect(fault-point-in-parallel)
         data[i] = i;
     }
 }
@@ -33,7 +33,7 @@ void fixtureFaultInjectInRegion(std::vector<int>& data) {
         // (2) even the in-band variant is banned: the counter bump is a
         // cross-thread ordering hazard and the simulated failure would
         // fire on an arbitrary worker thread
-        if (GRAPR_FAULT_INJECT("fixture.region.inject")) continue;
+        if (GRAPR_FAULT_INJECT("fixture.region.inject")) continue;  // grapr:expect(fault-point-in-parallel)
         data[i] = i;
     }
 }

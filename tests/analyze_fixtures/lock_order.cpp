@@ -1,6 +1,7 @@
 // Seeded lock-discipline violations: inconsistent acquisition order,
 // blocking I/O under the reader-head mutex, and a re-acquisition through
-// a helper. Both grapr_analyze frontends must flag them (WILL_FAIL).
+// a helper. Both grapr_analyze frontends must flag them (grapr:expect
+// markers).
 //
 // Never compiled — parsed only, hence the tiny std stand-ins.
 namespace std {
@@ -20,19 +21,19 @@ extern "C" int fsync(int fd);
 // threads running them concurrently can deadlock.
 void lockAlphaThenBeta() {
     std::lock_guard<std::mutex> a(alphaMutex_);
-    std::lock_guard<std::mutex> b(betaMutex_);
+    std::lock_guard<std::mutex> b(betaMutex_);  // grapr:expect(lock-discipline)
 }
 
 void lockBetaThenAlpha() {
     std::lock_guard<std::mutex> b(betaMutex_);
-    std::lock_guard<std::mutex> a(alphaMutex_);
+    std::lock_guard<std::mutex> a(alphaMutex_);  // grapr:expect(lock-discipline)
 }
 
 // (3) blocking I/O while directly holding the reader-head mutex: every
 // pinned reader stalls behind disk latency.
 void syncUnderHeadLock() {
     std::lock_guard<std::mutex> head(headMutex_);
-    fsync(0);
+    fsync(0);  // grapr:expect(lock-discipline)
 }
 
 // (4) re-acquiring a held (non-reentrant) mutex through a helper call.
@@ -42,5 +43,5 @@ void helperLocksAlpha() {
 
 void reacquireThroughHelper() {
     std::lock_guard<std::mutex> a(alphaMutex_);
-    helperLocksAlpha();
+    helperLocksAlpha();  // grapr:expect(lock-discipline)
 }

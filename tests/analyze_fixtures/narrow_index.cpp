@@ -1,6 +1,6 @@
 // Seeded index-width violations for grapr_analyze. Every numbered site
-// must be reported (ctest runs this fixture with WILL_FAIL). The legal
-// block at the bottom pins the sanctioned idioms that must stay silent.
+// must be reported at its grapr:expect marker. The legal block at the
+// bottom pins the sanctioned idioms that must stay silent.
 //
 // This file is analyzed, never compiled.
 
@@ -11,28 +11,28 @@ namespace grapr {
 
 count sumDegrees(const CsrGraph& g, count n, node hub, edgeweight w) {
     // (1) 64-bit count silently truncated into int.
-    int total = g.numberOfNodes();
+    int total = g.numberOfNodes();  // grapr:expect(index-width)
 
     // (2) 32-bit induction variable compared against a count bound:
     // wraps forever once n exceeds 2^32.
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < n; ++i) {  // grapr:expect(index-width)
         // (3) int accumulator over degrees overflows at scale.
-        total += g.degree(hub);
+        total += g.degree(hub);  // grapr:expect(index-width)
     }
 
     // (4) C-style cast hides the same truncation an implicit conversion
     // would: must be static_cast if intended.
-    const int edges = (int)g.numberOfEdges();
+    const int edges = (int)g.numberOfEdges();  // grapr:expect(index-width)
 
     // (5) node ids do not fit signed 32-bit: the `none` sentinel is
     // 2^32-1.
-    int neighbor = g.getIthNeighbor(hub, 0);
+    int neighbor = g.getIthNeighbor(hub, 0);  // grapr:expect(index-width)
 
     // (6) edgeweight (double) into an integer: drops fractional weights.
-    count rounded = g.weightedDegree(hub);
+    count rounded = g.weightedDegree(hub);  // grapr:expect(index-width)
 
     // (7) edgeweight into float: loses precision on big accumulations.
-    float wf = w;
+    float wf = w;  // grapr:expect(index-width)
 
     return static_cast<count>(total + edges + neighbor) + rounded
            + static_cast<count>(wf);

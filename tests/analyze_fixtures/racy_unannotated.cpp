@@ -1,21 +1,22 @@
 // Seeded shared-write-safety violations for grapr_analyze's
 // parallel-effects pass. Every numbered site is a racy write with NO
-// grapr:benign-race annotation; the ctest entry runs the analyzer on this
-// file with WILL_FAIL, so an analyzer that stops seeing these has lost
-// the check. The legal twins below each site pin the lattice's safe
-// classes so a regression toward "flag everything" also fails the
-// dual-frontend agreement test.
+// grapr:benign-race annotation, and carries a grapr:expect marker, so an
+// analyzer that stops seeing one of them has lost the check. The legal
+// twins below each site pin the lattice's safe classes, so a regression
+// toward "flag everything" fails too (and so does the dual-frontend
+// agreement test).
 //
 // This file is analyzed, never compiled.
 
 using node = unsigned long long;
 using count = unsigned long long;
 
-void racyWrites(double* weights, node* labels, node* neighbors,
-                const unsigned long long* offsets, long long n) {
+void racyWrites(double* weights, double* hits, node* labels,
+                node* neighbors, const unsigned long long* offsets,
+                long long n) {
     double total = 0.0;
 #pragma omp parallel for default(none) \
-    shared(weights, labels, neighbors, offsets, n) reduction(+ : total)
+    shared(weights, hits, labels, neighbors, offsets, n) reduction(+ : total)
     for (long long i = 0; i < n; ++i) {
         const node u = static_cast<node>(i);
         // Legal: reduction clause.
@@ -26,10 +27,10 @@ void racyWrites(double* weights, node* labels, node* neighbors,
             const node v = neighbors[e];
             // (1) VIOLATION: neighbor-indexed write, no annotation —
             // several threads share v values.
-            labels[v] = u;
+            labels[v] = u;  // grapr:expect(shared-write-safety)
         }
-        // (2) VIOLATION: read-modify-write of a shared scalar-indexed
-        // slot at a foreign (constant) index.
-        weights[0] += 1.0;
+        // (2) VIOLATION: read-modify-write of a shared slot at a constant
+        // index — every iteration updates the same element.
+        hits[0] += 1.0;  // grapr:expect(shared-write-safety)
     }
 }

@@ -1,5 +1,5 @@
 // Seeded annotation-liveness violation on the sharded-volume write path
-// (ctest runs this fixture with WILL_FAIL). The replicate+reduce volume
+// (grapr:expect markers name the findings). The replicate+reduce volume
 // scheme (community/community_volumes.hpp) is race-free by construction,
 // so the one place a benign-race annotation legitimately appears is the
 // ATOMIC policy's snapshot read — and a typo'd variable name there anchors
@@ -18,7 +18,7 @@ void foldShards(std::vector<double>& communityVolume,
     // (1) Typo'd benign-race on the reducer: the annotation names
     // `comunityVolume` (sic) but every write below touches
     // `communityVolume`, so the annotation anchors no racy site.
-    // grapr:benign-race(comunityVolume): stale fold tolerated by design
+    // grapr:benign-race(comunityVolume): stale fold tolerated by design  grapr:expect(annotation-liveness)
     communityVolume[c] += shardDelta[c];
 }
 
@@ -26,7 +26,7 @@ double snapshotVolume(const std::vector<double>& communityVolume, node c) {
     // (2) Annotation naming a variable with no anchoring pattern at all
     // within range: `delta` is never published, subscripted, or read
     // atomically below.
-    // grapr:benign-race(delta): replicated shard delta visible late
+    // grapr:benign-race(delta): replicated shard delta visible late  grapr:expect(annotation-liveness)
     double v = 0.0;
     v += static_cast<double>(c);
     (void)communityVolume;

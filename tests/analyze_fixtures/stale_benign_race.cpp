@@ -2,8 +2,8 @@
 // provably disjoint (induction-derived index, no foreign read of the
 // container anywhere in the region), so the grapr:benign-race annotation
 // excuses a race that does not exist. The analyzer must flag it as stale
-// (WILL_FAIL). The second region is the legal twin: the same annotation
-// shape on a genuinely racy neighbor-indexed write stays live.
+// (grapr:expect marker). The second region is the legal twin: the same
+// annotation shape on a genuinely racy neighbor-indexed write stays live.
 //
 // This file is analyzed, never compiled.
 
@@ -13,9 +13,9 @@ void staleAnnotation(node* labels, long long n) {
 #pragma omp parallel for default(none) shared(labels, n)
     for (long long i = 0; i < n; ++i) {
         const node u = static_cast<node>(i);
-        // grapr:benign-race(labels): stale reads tolerated by the
-        // asynchronous update contract.  <-- VIOLATION: the write below
-        // is disjoint, nothing here races.
+        // VIOLATION: the write below is disjoint, nothing here races.
+        // grapr:benign-race(labels): stale reads tolerated by the  grapr:expect(benign-race-validity)
+        // asynchronous update contract.
         labels[u] = u;
     }
 }

@@ -1,6 +1,6 @@
 // Seeded csr-staleness violations for grapr_analyze. Each numbered site
-// must be reported; the ctest entry runs the analyzer on this file with
-// WILL_FAIL, so an analyzer that stops seeing these has lost the check.
+// must be reported at its grapr:expect marker; an analyzer that stops
+// seeing one of them has lost the check.
 //
 // This file is analyzed, never compiled.
 
@@ -13,7 +13,7 @@ namespace grapr {
 double staleDirectRead(Graph& g) {
     const CsrGraph frozen(g);          // freeze site
     g.addEdge(0, 5);                   // mutation site
-    return frozen.weightedDegree(0);   // VIOLATION: stale read
+    return frozen.weightedDegree(0);   // VIOLATION: stale read  grapr:expect(csr-staleness)
 }
 
 // (2) Mutation through a callee with a Graph& summary: sortAdjacencies
@@ -25,7 +25,7 @@ void sortAdjacencies(Graph& g) {
 count staleAfterCallee(Graph& g) {
     const CsrGraph frozen(g);
     sortAdjacencies(g);                // mutates g via the callee
-    return frozen.degree(3);           // VIOLATION: positional reads diverge
+    return frozen.degree(3);           // VIOLATION: positional reads diverge  grapr:expect(csr-staleness)
 }
 
 // (3) Aliased view: the reference reads the same stale snapshot.
@@ -33,7 +33,7 @@ count staleThroughAlias(Graph& g) {
     const CsrGraph frozen(g);
     const CsrGraph& view = frozen;
     g.removeEdge(1, 2);
-    return view.numberOfEdges();       // VIOLATION: alias of a stale view
+    return view.numberOfEdges();       // VIOLATION: alias of a stale view  grapr:expect(csr-staleness)
 }
 
 // Legal lifecycle — must NOT be reported: all reads happen before the

@@ -1,6 +1,6 @@
 // Seeded durability-order violations: each numbered function below breaks
 // the WAL/checkpoint ordering contract and must be flagged by BOTH
-// grapr_analyze frontends (ctest pins this fixture as WILL_FAIL).
+// grapr_analyze frontends at its grapr:expect marker.
 // grapr:durability-scope
 //
 // Never compiled — parsed only. The macro stub keeps the fixture
@@ -25,7 +25,7 @@ extern "C" unsigned long fwrite(const void* data, unsigned long size,
 // a crash after publish loses the acknowledged batch.
 void publishBeforeAppend(WalLike& wal, Snapshot snap) {
     GRAPR_FAULT_POINT("fixture.publish.early");
-    publish(snap);
+    publish(snap);  // grapr:expect(durability-order)
     wal.append(snap, 1);
     fsync(0);
 }
@@ -35,7 +35,7 @@ void publishBeforeAppend(WalLike& wal, Snapshot snap) {
 void publishWithoutSync(WalLike& wal, Snapshot snap, void* file) {
     GRAPR_FAULT_POINT("fixture.publish.unsynced");
     fwrite(&snap, 1, 8, file);
-    publish(snap);
+    publish(snap);  // grapr:expect(durability-order)
 }
 
 // (3) durability-order: checkpoint rename with no fsync of the written
@@ -44,7 +44,7 @@ void renameUnordered(void* file) {
     GRAPR_FAULT_POINT("fixture.rename.bare");
     Snapshot snap;
     fwrite(&snap, 1, 8, file);
-    rename("a.tmp", "a");
+    rename("a.tmp", "a");  // grapr:expect(durability-order)
 }
 
 // The legal shape — append, fsync, guarded publish, then the full

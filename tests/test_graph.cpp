@@ -273,7 +273,7 @@ TEST(GraphBuilder, DedupSumsWeights) {
 TEST(GraphBuilder, ParallelInsertion) {
     const count n = 1000;
     GraphBuilder builder(n, false);
-#pragma omp parallel for
+#pragma omp parallel for default(none) shared(builder, n)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n) - 1; ++v) {
         builder.addEdge(static_cast<node>(v), static_cast<node>(v + 1));
     }

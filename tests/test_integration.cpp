@@ -14,7 +14,7 @@
 #include "community/plp.hpp"
 #include "generators/lfr.hpp"
 #include "generators/rmat.hpp"
-#include "io/binary_io.hpp"
+#include "io/binary_csr.hpp"
 #include "io/dot_writer.hpp"
 #include "io/metis_io.hpp"
 #include "io/partition_io.hpp"
@@ -64,10 +64,10 @@ TEST(Integration, PersistGraphAndPartitionThenRevalidate) {
     const Partition zeta = Plm().run(g);
     const double q = Modularity().getQuality(zeta, g);
 
-    io::writeBinary(g, (dir / "g.grpr").string());
+    io::writeBinaryCsr(CsrGraph(g), 0, (dir / "g.gcsr").string());
     io::writePartition(zeta, (dir / "z.part").string());
 
-    Graph g2 = io::readBinary((dir / "g.grpr").string());
+    Graph g2 = io::readBinaryCsr((dir / "g.gcsr").string()).graph.toGraph();
     Partition z2 = io::readPartition((dir / "z.part").string());
     EXPECT_TRUE(g2.structurallyEquals(g));
     EXPECT_NEAR(Modularity().getQuality(z2, g2), q, 1e-12);

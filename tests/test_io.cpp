@@ -11,7 +11,7 @@
 
 #include "generators/erdos_renyi.hpp"
 #include "generators/simple_graphs.hpp"
-#include "io/binary_io.hpp"
+#include "io/binary_csr.hpp"
 #include "io/dot_writer.hpp"
 #include "io/edgelist_io.hpp"
 #include "io/gml_io.hpp"
@@ -58,7 +58,7 @@ TEST_F(IoTest, EdgeListWeightedRoundTrip) {
     g.addEdge(0, 1, 2.5);
     g.addEdge(1, 2, 0.25);
     io::writeEdgeList(g, path("w.tsv"), /*withWeights=*/true);
-    io::EdgeListOptions options;
+    io::ParseOptions options;
     options.weighted = true;
     Graph loaded = io::readEdgeList(path("w.tsv"), options);
     EXPECT_TRUE(loaded.structurallyEquals(g));
@@ -82,7 +82,7 @@ TEST_F(IoTest, EdgeListDirectedInputDedups) {
         std::ofstream out(path("dir.tsv"));
         out << "0 1\n1 0\n1 2\n";
     }
-    io::EdgeListOptions options;
+    io::ParseOptions options;
     options.directedInput = true;
     Graph g = io::readEdgeList(path("dir.tsv"), options);
     EXPECT_EQ(g.numberOfEdges(), 2u);
@@ -148,8 +148,8 @@ TEST_F(IoTest, MetisIsolatedNodes) {
 TEST_F(IoTest, BinaryRoundTripUnweighted) {
     Random::setSeed(22);
     Graph g = ErdosRenyiGenerator(500, 0.02).generate();
-    io::writeBinary(g, path("g.grpr"));
-    Graph loaded = io::readBinary(path("g.grpr"));
+    io::writeBinaryCsr(CsrGraph(g), 0, path("g.gcsr"));
+    Graph loaded = io::readBinaryCsr(path("g.gcsr")).graph.toGraph();
     EXPECT_TRUE(loaded.structurallyEquals(g));
     loaded.checkConsistency();
 }
@@ -159,18 +159,18 @@ TEST_F(IoTest, BinaryRoundTripWeightedWithLoops) {
     g.addEdge(0, 1, 0.5);
     g.addEdge(2, 2, 7.0);
     g.addEdge(3, 4, 1.25);
-    io::writeBinary(g, path("w.grpr"));
-    Graph loaded = io::readBinary(path("w.grpr"));
+    io::writeBinaryCsr(CsrGraph(g), 0, path("w.gcsr"));
+    Graph loaded = io::readBinaryCsr(path("w.gcsr")).graph.toGraph();
     EXPECT_TRUE(loaded.structurallyEquals(g));
     EXPECT_EQ(loaded.numberOfSelfLoops(), 1u);
 }
 
 TEST_F(IoTest, BinaryRejectsGarbage) {
     {
-        std::ofstream out(path("garbage.grpr"), std::ios::binary);
+        std::ofstream out(path("garbage.gcsr"), std::ios::binary);
         out << "not a grapr file at all";
     }
-    EXPECT_THROW(io::readBinary(path("garbage.grpr")), std::runtime_error);
+    EXPECT_THROW(io::readBinaryCsr(path("garbage.gcsr")), std::runtime_error);
 }
 
 TEST_F(IoTest, PartitionRoundTrip) {
@@ -233,8 +233,8 @@ TEST_F(IoTest, EdgeListHeaderPreservesIsolatedNodes) {
 
 TEST_F(IoTest, BinarySurvivesEmptyGraph) {
     Graph g(7, false);
-    io::writeBinary(g, path("empty.grpr"));
-    Graph loaded = io::readBinary(path("empty.grpr"));
+    io::writeBinaryCsr(CsrGraph(g), 0, path("empty.gcsr"));
+    Graph loaded = io::readBinaryCsr(path("empty.gcsr")).graph.toGraph();
     EXPECT_EQ(loaded.numberOfNodes(), 7u);
     EXPECT_EQ(loaded.numberOfEdges(), 0u);
 }
@@ -271,7 +271,7 @@ TEST_F(IoTest, EdgeListWeightedRoundTripPreservesNonIntegerWeights) {
     g.addEdge(4, 0, 1e-12);
     io::writeEdgeList(g, path("wrt.tsv"), /*withWeights=*/true);
 
-    io::EdgeListOptions options;
+    io::ParseOptions options;
     options.weighted = true;
     Graph loaded = io::readEdgeList(path("wrt.tsv"), options);
     ASSERT_EQ(loaded.numberOfEdges(), g.numberOfEdges());

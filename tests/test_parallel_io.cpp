@@ -191,7 +191,7 @@ TEST_F(ParallelIoTest, EdgeListDirectedDedupAcrossThreads) {
                       "dedup threads=" + std::to_string(threads));
     }
     // Dedup agrees with the legacy adjacency-list route.
-    io::EdgeListOptions legacy;
+    io::ParseOptions legacy;
     legacy.directedInput = true;
     EXPECT_TRUE(
         io::readEdgeList(file, legacy).structurallyEquals(reference.toGraph()));

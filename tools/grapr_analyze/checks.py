@@ -1,19 +1,28 @@
-"""The three grapr_analyze checks plus the tsan.supp liveness audit.
+"""The grapr_analyze checks that are neither protocol nor effects checks,
+plus the tsan.supp liveness audit.
 
-All checks consume the frontend-neutral IR from model.py; nothing here
-looks at tokens directly except the annotation resolver (annotations live
-in comments, which no AST keeps) and the suppression scanner.
+The semantic checks consume the frontend-neutral IR from model.py; only
+the annotation resolver (annotations live in comments, which no AST
+keeps), the OpenMP text rules and the suppression scanner look at text.
 
 Check ids (stable; used in messages and `grapr:analyze-allow(<id>)`):
   csr-staleness        a frozen CsrGraph view is read after a mutating
                        Graph method ran on its source
   index-width          implicit narrowing of count/index/node/edgeweight
                        to a 32-bit (or smaller / lossy) type
-  annotation-liveness  a grapr:benign-race / grapr:lint-allow /
-                       grapr:analyze-allow annotation no longer anchors a
-                       real site
+  annotation-liveness  a grapr:benign-race / grapr:analyze-allow
+                       annotation gives no `: <reason>` or no longer
+                       anchors a real site
   suppression-liveness a tsan.supp entry names a symbol that no longer
                        exists or no longer reaches a parallel region
+  omp-default-none     a `#pragma omp parallel` without default(none):
+                       every region declares its data sharing explicitly
+  no-default-shared    a parallel region with default(shared)
+  no-rand              rand()/srand()/drand48()/...: use the per-thread or
+                       counter-based engines of support/random.hpp
+  no-stream-log        std::cout/std::cerr/printf inside a parallel
+                       region's structured block (interleaved output,
+                       hidden serialization)
 
 The sanctioned escape hatches, by design:
   - static_cast<...> is never flagged: explicit narrowing is greppable
@@ -41,10 +50,16 @@ ANALYZE_ALLOW = re.compile(
     r"grapr:analyze-allow\((?P<check>[\w-]+)\)(?P<rest>[^\n]*)")
 ANNOTATION = re.compile(
     r"grapr:benign-race\((?P<var>[A-Za-z_]\w*)\)(?P<rest>[^\n]*)")
-LINT_ALLOW = re.compile(r"grapr:lint-allow\((?P<rule>[\w-]+)\)(?P<rest>[^\n]*)")
+BANNED_RNG = re.compile(
+    r"(?<![\w:.>])(rand|srand|drand48|lrand48|mrand48|random)\s*\(")
+STREAM_LOG = re.compile(
+    r"std::cout|std::cerr|(?<![\w:.>])(?:printf|fprintf|puts)\s*\(")
 
 CHECK_IDS = {"csr-staleness", "index-width", "annotation-liveness",
              "suppression-liveness",
+             # OpenMP text rules (check_omp_text).
+             "omp-default-none", "no-default-shared", "no-rand",
+             "no-stream-log",
              # Durability-protocol checks (protocol.py).
              "durability-order", "lock-discipline", "poison-path",
              "fault-site-coverage",
@@ -62,8 +77,8 @@ _INTEGERISH = NARROW_INT_TYPES | {
 
 
 class Allows:
-    """grapr:analyze-allow bookkeeping for one file (mirrors the lint's
-    lint-allow semantics: same line or the contiguous // block above)."""
+    """grapr:analyze-allow bookkeeping for one file: an allow covers its
+    own line and the line below the contiguous // block it sits in."""
 
     def __init__(self, lines: list[str]):
         self.lines = lines
@@ -322,9 +337,17 @@ SUBSCRIPT_WRITE = (r"\[[^\[\]]*\]\s*"
                    r"(?:=(?!=)|\+=|-=|\*=|/=|\|=|&=|\^=|\+\+|--)")
 
 
+def _lacks_reason(lines: list[str], i: int, rest: str) -> bool:
+    """An annotation's `: <reason>` may start on the comment line below."""
+    if not rest.startswith(":"):
+        return True
+    below = lines[i + 1].strip() if i + 1 < len(lines) else ""
+    return not rest[1:].strip() and not (
+        below.startswith("//") and below[2:].strip())
+
+
 def check_annotation_liveness(model: FileModel, blanked: list[str],
-                              allows: Allows,
-                              lint_module) -> list[Finding]:
+                              allows: Allows) -> list[Finding]:
     findings: list[Finding] = []
     lines = model.lines
 
@@ -333,11 +356,22 @@ def check_annotation_liveness(model: FileModel, blanked: list[str],
                    for fn in model.functions)
 
     for i, raw in enumerate(lines):
+        m = ANALYZE_ALLOW.search(raw)
+        if m and _lacks_reason(lines, i, m.group("rest")):
+            _report(findings, allows, model.path, i + 1,
+                    "annotation-liveness",
+                    "grapr:analyze-allow must give a reason: "
+                    "'grapr:analyze-allow(<check>): <reason>'")
         m = ANNOTATION.search(raw)
         if not m:
             continue
         var = m.group("var")
         line1 = i + 1
+        if _lacks_reason(lines, i, m.group("rest")):
+            _report(findings, allows, model.path, line1,
+                    "annotation-liveness",
+                    f"grapr:benign-race({var}) must give the tolerance "
+                    f"argument: 'grapr:benign-race({var}): <reason>'")
         window = range(i, min(len(blanked), i + 9))
         site = None
         for j in window:
@@ -371,20 +405,42 @@ def check_annotation_liveness(model: FileModel, blanked: list[str],
                     "annotation-liveness",
                     f"grapr:benign-race({var}) sits outside any function "
                     "body; annotations must mark a concrete site")
+    return findings
 
-    # Escalate the lint's unused-suppression *warnings* to analyzer errors:
-    # a lint-allow that suppresses nothing is a stale contract exception.
-    if lint_module is not None:
-        linter = lint_module.FileLint(model.path,
-                                      [ln.rstrip("\n") for ln in lines])
-        linter.lint()
-        for f in linter.findings:
-            if f.warning and "unused grapr:lint-allow" in f.message:
-                _report(findings, allows, model.path, f.line,
-                        "annotation-liveness",
-                        "stale suppression: this grapr:lint-allow no longer "
-                        "matches any lint finding — delete it (regenerate "
-                        "with tools/grapr_lint if the rule moved)")
+
+# --------------------------------------------------------------------------
+# OpenMP text rules: omp-default-none, no-default-shared, no-rand,
+# no-stream-log
+# --------------------------------------------------------------------------
+
+def check_omp_text(model: FileModel, blanked: list[str],
+                   allows: Allows) -> list[Finding]:
+    findings: list[Finding] = []
+    for region in model.regions:
+        clauses = region.text.replace(" ", "")
+        if "default(shared)" in clauses:
+            _report(findings, allows, model.path, region.pragma_line,
+                    "no-default-shared",
+                    "default(shared) is banned; use default(none) with "
+                    "explicit shared()/firstprivate() clauses")
+        elif "default(none)" not in clauses:
+            _report(findings, allows, model.path, region.pragma_line,
+                    "omp-default-none",
+                    "parallel construct without default(none): every "
+                    "OpenMP region must declare its data sharing "
+                    "explicitly")
+        for line in range(region.start, region.end + 1):
+            if STREAM_LOG.search(blanked[line - 1]):
+                _report(findings, allows, model.path, line, "no-stream-log",
+                        "stream/printf logging inside a parallel region "
+                        "interleaves output and serializes the team; log "
+                        "after the region")
+    for i, code in enumerate(blanked):
+        m = BANNED_RNG.search(code)
+        if m:
+            _report(findings, allows, model.path, i + 1, "no-rand",
+                    f"'{m.group(1)}()' is banned: use the per-thread or "
+                    "counter-based engines in support/random.hpp")
     return findings
 
 

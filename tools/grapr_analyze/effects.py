@@ -15,20 +15,30 @@ write on a four-point effect lattice:
                  `omp critical` block, an omp_set_lock/omp_unset_lock
                  span or an RAII mutex-guard scope, or the variable is in
                  a reduction clause
-  disjoint       the written element is selected by an index derived from
-                 the worksharing induction variable (so no two threads
-                 touch the same element) AND the region never reads the
-                 container at a non-derived ("foreign") index — a foreign
-                 read means other threads observe the written slots and
-                 the disjointness of the *writes* no longer proves
-                 race-freedom
+  disjoint       the written element is the iteration's own: its index
+                 is ONE identifier derived from the worksharing induction
+                 variable (casts and parentheses aside — `v`, `sv`,
+                 `static_cast<node>(v)`, not `v + 1` and not `0`), so no
+                 two threads touch the same element; AND the region never
+                 accesses the container at any other ("foreign") index —
+                 a foreign access means other threads observe the
+                 written slots, and the disjointness of the *writes* no
+                 longer proves race-freedom
   racy           everything else — a real data race that must carry a
                  live `grapr:benign-race(<var>)` annotation naming the
                  written lvalue
 
+Writes are assignments, increments, publish calls (`zeta.set(u, c)`)
+and mutating container calls (`push_back`, `resize`, `erase`, ...) on a
+receiver that is not region-local or `.local()`; a container call writes
+at the last subscript of its receiver chain, so `rows[sv].resize(d)` is
+disjoint while `sink.push_back(x)` and `shards[0].push_back(x)` are racy.
+
 Checks built on the classification (ids registered in checks.CHECK_IDS):
 
-  shared-write-safety      unannotated racy writes fail
+  shared-write-safety      unannotated racy writes fail, and so does an
+                           unannotated `omp atomic read` in a region's
+                           structured block (a stale snapshot by design)
   benign-race-validity     an annotation on a write proven synchronized /
                            disjoint / thread-local is stale and fails
   region-alloc             heap allocation or container growth inside a
@@ -48,9 +58,7 @@ Checks built on the classification (ids registered in checks.CHECK_IDS):
                            runtime benign-write trace against it)
   fault-point-in-parallel  a GRAPR_FAULT_POINT reached from inside a
                            parallel region, at ANY call depth (cross-TU
-                           fixed-point summary) — the authoritative
-                           interprocedural answer behind grapr_lint's
-                           one-level textual rule
+                           fixed-point summary)
 
 Known false-negative edges (kept deliberately; documented in DESIGN.md):
 pointer-laundered aliases (`auto& r = shared; r[i] = v` inside the region
@@ -98,6 +106,10 @@ PUBLISH_METHODS = {"set", "moveToSubset", "addToSubset", "removeFromSubset",
 # region is a heap-allocation hazard (region-alloc).
 GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "insert",
                   "resize", "reserve", "assign"}
+# Every mutating container call: a write to the receiver
+# (shared-write-safety).
+MUTATING_METHODS = GROWTH_METHODS | {"pop_back", "erase", "clear",
+                                     "shrink_to_fit"}
 
 ALLOC_CALLS = {"make_unique", "make_shared"}
 
@@ -143,7 +155,7 @@ class WriteSite:
     index_text: str           # element selector text ("" for whole-object)
     classification: str
     reason: str
-    kind: str                 # "assign" | "publish" | "incdec"
+    kind: str                 # "assign" | "publish" | "incdec" | "mutate"
 
 
 @dataclass
@@ -302,18 +314,11 @@ def _strip_casts(text: str) -> str:
     return _STATIC_CAST.sub(" ", text)
 
 
-def _idents(text: str) -> set[str]:
-    return {w for w in re.findall(r"[A-Za-z_]\w*", _strip_casts(text))
-            if w not in _CPPISH}
-
-
-def _pure_initializer(text: str) -> bool:
-    """No subscripts and no calls other than static_cast — the shapes an
-    induction-derived value may flow through."""
-    t = _strip_casts(text)
-    if "[" in t:
-        return False
-    return not re.search(r"[A-Za-z_]\w*\s*\(", t)
+def _own_index(text: str, derived: set[str]) -> bool:
+    """Is this index the iteration's own element: one derived identifier,
+    casts and parentheses aside? `v + 1`, `(v + 1) % n` and `0` are not —
+    another iteration owns (or every thread shares) that element."""
+    return re.sub(r"[()\s]", "", _strip_casts(text)) in derived
 
 
 _FETCH_RESERVE = re.compile(r"(?:\.|->)\s*fetch_(?:add|sub)\s*\(")
@@ -428,11 +433,11 @@ def analyze_region(model: FileModel, blanked: list[str],
     all_text = " ".join(text for _ln, text in lines_in_extents)
 
     # Derived-index fixed point: start from the worksharing induction
-    # variables; absorb locals whose initializer only combines derived
-    # identifiers (no subscripts, no calls except static_cast) or is a
-    # per-thread slice cursor (_slice_derived); absorb hoisted-lambda
-    # parameters when EVERY call site passes a derived value in that
-    # position (`writeRow(static_cast<node>(sv))`).
+    # variables; absorb locals initialized by a rename of a derived
+    # identifier (_own_index) or by a per-thread slice cursor
+    # (_slice_derived); absorb hoisted-lambda parameters when EVERY call
+    # site passes a rename in that position
+    # (`writeRow(static_cast<node>(sv))`).
     ra.derived = set(region.induction)
     changed = True
     while changed:
@@ -440,8 +445,7 @@ def analyze_region(model: FileModel, blanked: list[str],
         for name, text in decl_inits:
             if name in ra.derived or not text:
                 continue
-            if (_pure_initializer(text) and _idents(text)
-                    and _idents(text) <= ra.derived) or \
+            if _own_index(text, ra.derived) or \
                     _slice_derived(text, ra.derived, ra.locals_):
                 ra.derived.add(name)
                 changed = True
@@ -453,9 +457,8 @@ def analyze_region(model: FileModel, blanked: list[str],
                 if pname in ra.derived:
                     continue
                 argtexts = [a[k] for a in arg_lists if k < len(a)]
-                if argtexts and all(
-                        a and _pure_initializer(a) and _idents(a)
-                        and _idents(a) <= ra.derived for a in argtexts):
+                if argtexts and all(_own_index(a, ra.derived)
+                                    for a in argtexts):
                     ra.derived.add(pname)
                     changed = True
 
@@ -491,11 +494,13 @@ def analyze_region(model: FileModel, blanked: list[str],
                 rest = text[m.end():]
                 arg = rest.split(",")[0].split(")")[0]
                 raw_writes.append((ln, base, arg.strip(), "publish"))
-            if meth in GROWTH_METHODS or meth in ALLOC_CALLS:
-                if ".local()" in chain or ".local ()" in chain:
-                    continue
-                if base in ra.locals_:
-                    continue
+            if ".local()" in chain or ".local ()" in chain:
+                continue
+            if meth in MUTATING_METHODS:
+                br = re.findall(r"\[([^\[\]]*)\]", chain)
+                raw_writes.append((ln, base, br[-1] if br else "", "mutate"))
+            if (meth in GROWTH_METHODS or meth in ALLOC_CALLS) and \
+                    base not in ra.locals_:
                 ra.alloc_sites.append(
                     (ln, f"'{base}.{meth}(...)' grows a shared container"))
         if _NEW_EXPR.search(text):
@@ -515,8 +520,7 @@ def analyze_region(model: FileModel, blanked: list[str],
                 # so its reads are ordered after every disjoint write.
                 continue
             for m in pat_sub.finditer(text):
-                ids = _idents(m.group(1))
-                if ids and not ids <= ra.derived:
+                if not _own_index(m.group(1), ra.derived):
                     return True
             for m in pat_meth.finditer(text):
                 meth = m.group(1)
@@ -524,8 +528,7 @@ def analyze_region(model: FileModel, blanked: list[str],
                     continue
                 rest = text[m.end():]
                 arg = rest.split(",")[0].split(")")[0]
-                ids = _idents(arg)
-                if ids and not ids <= ra.derived:
+                if arg.strip() and not _own_index(arg, ra.derived):
                     return True
         return False
 
@@ -543,17 +546,16 @@ def analyze_region(model: FileModel, blanked: list[str],
         if idx:
             if _TID.search(idx):
                 return THREAD_LOCAL_LABEL, "thread-id-indexed slot"
-            ids = _idents(idx)
-            if ids and ids <= ra.derived:
+            if _own_index(idx, ra.derived):
                 if base not in foreign_cache:
                     foreign_cache[base] = has_foreign_access(base)
                 if not foreign_cache[base]:
                     return DISJOINT, \
-                        "index derived from the worksharing induction " \
-                        "variable and never accessed at a foreign index"
-                return RACY, ("write index is induction-derived but the " \
-                              "region also accesses the container at a " \
-                              "foreign index")
+                        "the iteration's own index, and the container is " \
+                        "never accessed at a foreign index"
+                return RACY, ("write index is the iteration's own but "
+                              "the region also accesses the container at "
+                              "a foreign index")
         return RACY, "unsynchronized write to shared state"
 
     for ln, base, idx, kind in raw_writes:
@@ -649,6 +651,19 @@ def check_shared_write_safety(fe: FileEffects,
                     f"parallel region ({w.reason}); prove it safe or mark "
                     f"it grapr:benign-race({w.var}) with the tolerance "
                     "argument")
+        # An atomic read in a region is a stale snapshot of state other
+        # threads update; the annotation names what it reads.
+        for first, last in ra.region.atomic_reads:
+            if not any(aline <= j <= aline + 8 and re.search(
+                    rf"\b{re.escape(avar)}\b", fe.blanked[j - 1])
+                    for aline, avar in _annotations(fe.model)
+                    for j in range(first, last + 1)):
+                _report(findings, allows, fe.model.path, first,
+                        "shared-write-safety",
+                        "omp atomic read of concurrently-updated state "
+                        "takes a stale snapshot by design; mark it "
+                        "grapr:benign-race(<var>) with the tolerance "
+                        "argument")
     return findings
 
 

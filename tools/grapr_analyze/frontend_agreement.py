@@ -30,7 +30,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import effects                                   # noqa: E402
 import frontend_clang                            # noqa: E402
-from frontend_micro import MicroFrontend, blank  # noqa: E402
+from frontend_micro import MicroFrontend         # noqa: E402
+from model import blank                          # noqa: E402
 
 SKIP = 77
 

@@ -19,8 +19,8 @@ import json
 import re
 from pathlib import Path
 
-from model import ExprInfo, FileModel, FunctionModel, Stmt, extract_omp
-from frontend_micro import blank
+from model import (ExprInfo, FileModel, FunctionModel, Stmt,
+                   blank_with_spans, extract_omp)
 
 try:
     from clang import cindex
@@ -116,8 +116,9 @@ class ClangFrontend:
         # coverage) come from the same textual extractor the micro frontend
         # uses — libclang's OpenMP cursor support varies by version, and the
         # parallel-effects pass must classify identically under both
-        # frontends. blank() is pure line-level comment/string blanking.
-        model.regions, model.sync_lines = extract_omp(blank(lines))
+        # frontends.
+        model.regions, model.sync_lines = extract_omp(
+            *blank_with_spans(lines))
         return model
 
     # ------------------------------------------------------------------

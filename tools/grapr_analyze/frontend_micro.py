@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from model import (ExprInfo, FileModel, FunctionModel, NARROW_INT_TYPES,
-                   FLOAT_NARROW_TYPES, Stmt, extract_omp)
+                   FLOAT_NARROW_TYPES, Stmt, blank_with_spans, directives,
+                   extract_omp)
 
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "else", "do",
@@ -77,59 +78,6 @@ FUNC_NAME_RE = re.compile(
     r"|operator\s*[^\s(]+)\s*\($")
 CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?P<name>[A-Za-z_]\w*)")
 NAMESPACE_RE = re.compile(r"^namespace(?:\s+(?P<name>[A-Za-z_]\w*))?\s*$")
-
-
-def blank(lines: list[str]) -> list[str]:
-    """Blank comments and string/char literal contents, preserving line
-    structure, so the segmenter never trips over braces in text."""
-    text = "\n".join(lines)
-    out: list[str] = []
-    i, n = 0, len(text)
-    state = "code"
-    while i < n:
-        c = text[i]
-        if state == "code":
-            if c == "/" and i + 1 < n and text[i + 1] == "/":
-                state, i = "line", i + 2
-                out.append("  ")
-                continue
-            if c == "/" and i + 1 < n and text[i + 1] == "*":
-                state, i = "block", i + 2
-                out.append("  ")
-                continue
-            if c == '"':
-                state = "string"
-            elif c == "'":
-                state = "char"
-            out.append(c)
-        elif state == "line":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "block":
-            if c == "*" and i + 1 < n and text[i + 1] == "/":
-                state, i = "code", i + 2
-                out.append("  ")
-                continue
-            out.append("\n" if c == "\n" else " ")
-        elif state in ("string", "char"):
-            if c == "\\" and i + 1 < n:
-                out.append("  ")
-                i += 2
-                continue
-            if (state == "string" and c == '"') or \
-                    (state == "char" and c == "'"):
-                state = "code"
-                out.append(c)
-            else:
-                out.append("\n" if c == "\n" else " ")
-        i += 1
-    blanked = "".join(out).split("\n")
-    while len(blanked) < len(lines):
-        blanked.append("")
-    return blanked
 
 
 def expr_info(text: str) -> ExprInfo:
@@ -216,19 +164,18 @@ class MicroFrontend:
 
     def lower(self, path: Path, lines: list[str]) -> FileModel:
         model = FileModel(path=path, lines=lines, frontend=self.name)
-        code = blank(lines)
+        code, spans = blank_with_spans(lines)
 
         # Flatten the non-preprocessor lines into one buffer with a
-        # char-offset -> line-number map; preprocessor lines (and their
-        # backslash continuations) are opaque to the segmenter but still
-        # counted for has_omp below.
+        # char-offset -> line-number map; preprocessor lines (joined as
+        # model.directives() joins them) are opaque to the segmenter but
+        # still counted for has_omp below.
+        pp_lines = {j for first0, last0, _ in directives(code, spans)
+                    for j in range(first0 + 1, last0 + 2)}
         flat_chars: list[str] = []
         linemap: list[int] = []
-        in_pp = False
         for lineno, line in enumerate(code, start=1):
-            stripped = line.strip()
-            if in_pp or stripped.startswith("#"):
-                in_pp = stripped.endswith("\\")
+            if lineno in pp_lines:
                 continue
             for c in line:
                 flat_chars.append(c)
@@ -304,7 +251,7 @@ class MicroFrontend:
         # are invisible to the statement segmenter above (preprocessor skip),
         # so region extents, clauses and atomic/critical coverage would
         # otherwise be lost here and disagree with the clang frontend.
-        model.regions, model.sync_lines = extract_omp(code)
+        model.regions, model.sync_lines = extract_omp(code, spans)
         return model
 
     def _classify_header(self, header: str, line: int,

@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
 """grapr_analyze: AST-grounded contract analyzer for the grapr codebase.
 
-Thirteen checks, driven by the exported compile_commands.json (see
-checks.py, protocol.py and effects.py for rule details and the sanctioned
-escape hatches):
+The one static checker of the OpenMP contract and of the durability
+protocol: seventeen checks, driven by the exported compile_commands.json
+(see checks.py, protocol.py and effects.py for rule details and the
+sanctioned escape hatches):
 
+  omp-default-none     every `#pragma omp parallel` carries default(none)
+  no-default-shared    no parallel region uses default(shared)
+  no-rand              no rand()/srand()/drand48()/...: parallel code uses
+                       the engines of support/random.hpp
+  no-stream-log        no std::cout/std::cerr/printf inside a region
   csr-staleness        frozen CsrGraph views read after their source Graph
                        mutated (intra-procedural, with call summaries for
                        the coarsening pipeline)
   index-width          implicit narrowing of count/index/node/edgeweight
                        into 32-bit or lossy types
-  annotation-liveness  grapr:benign-race / grapr:lint-allow /
-                       grapr:analyze-allow annotations must anchor a real
-                       site; stale or typo'd ones fail
+  annotation-liveness  grapr:benign-race / grapr:analyze-allow
+                       annotations must give a `: <reason>` and anchor a
+                       real site; stale or typo'd ones fail
   suppression-liveness tools/sanitizers/tsan.supp entries must still name
                        a defined symbol that reaches a parallel region
   durability-order     WAL append -> fsync -> publish, and checkpoint
@@ -26,10 +32,12 @@ escape hatches):
                        the static site list matches tests/fault_sites.txt
                        (the crash harness pins its dynamic trace to the
                        same manifest)
-  shared-write-safety  every write inside an OpenMP region classifies as
-                       thread-local / synchronized / disjoint on the
-                       parallel-effect lattice, or carries a live
-                       grapr:benign-race(<var>) annotation (effects.py)
+  shared-write-safety  every write inside an OpenMP region (container
+                       mutations included) classifies as thread-local /
+                       synchronized / disjoint on the parallel-effect
+                       lattice, or carries a live grapr:benign-race(<var>)
+                       annotation, as does every `omp atomic read`
+                       snapshot (effects.py)
   benign-race-validity a benign-race annotation on a write the analysis
                        proves safe is stale and fails
   region-alloc         no heap allocation / container growth inside
@@ -42,8 +50,7 @@ escape hatches):
                        points (test_race_check drives the dynamic half)
   fault-point-in-parallel
                        a GRAPR_FAULT_POINT reached from a parallel region
-                       at any call depth (the interprocedural authority
-                       behind grapr_lint's one-level textual rule)
+                       at any call depth
 
 Use `--check parallel-effects` to run only the five effects.py checks
 (or pass a comma-separated list of check ids).
@@ -63,8 +70,12 @@ Usage:
                    [--exclude GLOB]... [files...]
 
 With explicit files, only those files are analyzed and the tsan.supp
-audit and fault-manifest cross-check are skipped (fixture mode). Exit
-status 1 if any finding remains.
+audit and fault-manifest cross-check are skipped (fixture mode). A
+fixture names each finding it must produce with a `grapr:expect(<check>)`
+comment on the finding's line (inside a /* */ comment where the line
+ends in a backslash); in fixture mode the exit status is 0 only when the
+findings are exactly the marked ones, so a file without markers must be
+clean. Otherwise the exit status is 1 if any finding remains.
 """
 
 from __future__ import annotations
@@ -72,6 +83,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -81,20 +93,20 @@ import checks                                    # noqa: E402
 import effects                                   # noqa: E402
 import frontend_clang                            # noqa: E402
 import protocol                                  # noqa: E402
-from frontend_micro import MicroFrontend, blank  # noqa: E402
-from model import FileModel, build_summary       # noqa: E402
+from frontend_micro import MicroFrontend         # noqa: E402
+from model import FileModel, blank, build_summary  # noqa: E402
 
 
-def _import_lint():
-    lint_dir = Path(__file__).resolve().parent.parent / "grapr_lint"
-    if not lint_dir.exists():
-        return None
-    sys.path.insert(0, str(lint_dir))
-    try:
-        import grapr_lint
-        return grapr_lint
-    except Exception:
-        return None
+EXPECT = re.compile(r"grapr:expect\((?P<check>[\w-]+)\)")
+
+
+def expected_findings(models: list[FileModel]) -> set[tuple[str, int, str]]:
+    """(file, line, check) for every `grapr:expect(<check>)` marker: each
+    marker expects one finding of that check on its own line."""
+    return {(str(m.path), line, mm.group("check"))
+            for m in models
+            for line, raw in enumerate(m.lines, start=1)
+            for mm in EXPECT.finditer(raw)}
 
 
 def collect_files(args: argparse.Namespace) -> list[Path]:
@@ -176,7 +188,8 @@ def main() -> int:
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("files", nargs="*",
                         help="explicit files (fixture mode: skips the "
-                             "tsan.supp audit)")
+                             "tsan.supp audit and checks the findings "
+                             "against the files' grapr:expect markers)")
     args = parser.parse_args()
 
     files = collect_files(args)
@@ -188,7 +201,6 @@ def main() -> int:
     src_root = Path(args.root).resolve()
     frontend = pick_frontend(args.frontend, cc, src_root)
     micro = MicroFrontend()
-    lint_module = _import_lint()
 
     models: list[FileModel] = []
     pairs = []   # (model, blanked, allows)
@@ -219,8 +231,8 @@ def main() -> int:
     for model, blanked, allows in pairs:
         findings += checks.check_index_width(model, allows)
         findings += checks.check_csr_staleness(model, summary, allows)
-        findings += checks.check_annotation_liveness(
-            model, blanked, allows, lint_module)
+        findings += checks.check_annotation_liveness(model, blanked, allows)
+        findings += checks.check_omp_text(model, blanked, allows)
     if args.fault_manifest is None:
         manifest = (Path(__file__).resolve().parent.parent.parent
                     / "tests" / "fault_sites.txt")
@@ -257,6 +269,7 @@ def main() -> int:
     if not args.files and supp is not None:
         findings += checks.check_suppression_liveness(supp, models)
 
+    selected = None
     if args.check != "all":
         if args.check == "parallel-effects":
             selected = set(effects.EFFECT_CHECK_IDS)
@@ -279,11 +292,24 @@ def main() -> int:
     findings = sorted(unique.values(), key=lambda f: (str(f.path), f.line))
     for f in findings:
         print(f.render())
+    # Fixture mode: the findings must be exactly the ones the files'
+    # grapr:expect markers name (none for a file without markers).
+    expected = {e for e in expected_findings(models)
+                if selected is None or e[2] in selected} \
+        if args.files else set()
+    for path, line, check in sorted(expected - set(unique)):
+        print(f"{path}:{line}: error: [{check}] expected finding not "
+              "reported")
+    if expected:
+        for path, line, check in sorted(set(unique) - expected):
+            print(f"{path}:{line}: error: [{check}] finding has no "
+                  "grapr:expect marker")
     if not args.quiet:
         nfn = sum(len(m.functions) for m in models)
+        marked = f", {len(expected)} expected" if expected else ""
         print(f"grapr-analyze: frontend={frontend.name}, {len(files)} "
-              f"files, {nfn} functions, {len(findings)} findings")
-    return 1 if findings else 0
+              f"files, {nfn} functions, {len(findings)} findings{marked}")
+    return 0 if set(unique) == expected else 1
 
 
 if __name__ == "__main__":

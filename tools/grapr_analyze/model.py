@@ -226,6 +226,10 @@ class OmpRegion:
     shared: set[str] = field(default_factory=set)
     privates: set[str] = field(default_factory=set)   # private/firstprivate/lastprivate
     reductions: set[str] = field(default_factory=set)
+    # (pragma line, last statement line) of every `omp atomic read` inside
+    # the structured block: a stale snapshot that must carry a benign-race
+    # annotation.
+    atomic_reads: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -240,7 +244,7 @@ class FileModel:
     # Raw source lines (1-based access via lines[i-1]) for annotation checks.
     lines: list[str] = field(default_factory=list)
     frontend: str = ""        # "clang" or "micro"
-    # OpenMP facts, produced by extract_omp() over comment-blanked lines.
+    # OpenMP facts, produced by extract_omp() over blank_with_spans().
     # Both frontends call the same extractor, so region extents and
     # synchronization coverage are identical by construction.
     regions: list[OmpRegion] = field(default_factory=list)
@@ -311,6 +315,103 @@ def build_summary(models: list[FileModel]) -> Summary:
 
 
 # --------------------------------------------------------------------------
+# Comment blanking and directive joining (shared by both frontends)
+# --------------------------------------------------------------------------
+
+import re as _re
+
+
+def blank_with_spans(lines: list[str]) -> tuple[list[str], set[int]]:
+    """Blank comments and string/char literal contents, preserving line
+    structure, so no pass trips over braces or keywords in text. Also
+    returns the 0-based lines whose newline falls inside a /* */ comment:
+    a directive continues across such a newline (the comment becomes one
+    space before the preprocessor looks for the directive's end)."""
+    text = "\n".join(lines)
+    out: list[str] = []
+    spans: set[int] = set()
+    line0 = 0
+    i, n = 0, len(text)
+    state = "code"
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            if state == "block":
+                spans.add(line0)
+            line0 += 1
+        if state == "code":
+            if c == "/" and i + 1 < n and text[i + 1] == "/":
+                state, i = "line", i + 2
+                out.append("  ")
+                continue
+            if c == "/" and i + 1 < n and text[i + 1] == "*":
+                state, i = "block", i + 2
+                out.append("  ")
+                continue
+            if c == '"':
+                state = "string"
+            elif c == "'":
+                state = "char"
+            out.append(c)
+        elif state == "line":
+            if c == "\n":
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        elif state == "block":
+            if c == "*" and i + 1 < n and text[i + 1] == "/":
+                state, i = "code", i + 2
+                out.append("  ")
+                continue
+            out.append("\n" if c == "\n" else " ")
+        elif state in ("string", "char"):
+            if c == "\\" and i + 1 < n:
+                out.append("  ")
+                i += 2
+                continue
+            if (state == "string" and c == '"') or \
+                    (state == "char" and c == "'"):
+                state = "code"
+                out.append(c)
+            else:
+                out.append("\n" if c == "\n" else " ")
+        i += 1
+    blanked = "".join(out).split("\n")
+    while len(blanked) < len(lines):
+        blanked.append("")
+    return blanked, spans
+
+
+def blank(lines: list[str]) -> list[str]:
+    """blank_with_spans() without the spans."""
+    return blank_with_spans(lines)[0]
+
+
+def directives(blanked: list[str],
+               spans: set[int]) -> list[tuple[int, int, str]]:
+    """(first_line0, last_line0, text) for every preprocessor directive,
+    with backslash continuations and comment-spanned newlines joined
+    BEFORE anything looks at the text: `#pragma \\` + `omp ...` is an omp
+    pragma, and clauses behind a /* comment */ that spans the newline
+    still belong to it."""
+    out = []
+    i, n = 0, len(blanked)
+    while i < n:
+        text = blanked[i].strip()
+        if not text.startswith("#"):
+            i += 1
+            continue
+        start = i
+        while i + 1 < n and (text.endswith("\\") or i in spans):
+            text = text.rstrip("\\").rstrip() + " " + blanked[i + 1].strip()
+            i += 1
+        out.append((start, i, " ".join(text.split())))
+        i += 1
+    return out
+
+
+# --------------------------------------------------------------------------
 # OpenMP fact extraction (shared by both frontends)
 # --------------------------------------------------------------------------
 #
@@ -321,8 +422,6 @@ def build_summary(models: list[FileModel]) -> Summary:
 # lines. That makes the parallel-effects pass agree across frontends by
 # construction; the dual-frontend agreement test pins it.
 
-import re as _re
-
 _PRAGMA_OMP = _re.compile(r"^\s*#\s*pragma\s+omp\b(?P<rest>.*)$")
 _CLAUSE = _re.compile(r"\b(shared|private|firstprivate|lastprivate)\s*\(")
 _REDUCTION = _re.compile(r"\breduction\s*\(")
@@ -330,23 +429,6 @@ _FOR_HEADER = _re.compile(
     r"for\s*\(\s*(?:[A-Za-z_][\w:<>\s]*?[\s&*])?(?P<var>[A-Za-z_]\w*)\s*[=:]")
 _LOCK_SET = _re.compile(r"\bomp_set_lock\s*\(")
 _LOCK_UNSET = _re.compile(r"\bomp_unset_lock\s*\(")
-
-
-def _logical_pragmas(lines: list[str]) -> list[tuple[int, int, str]]:
-    """Join backslash continuations: (first_line0, last_line0, text) per
-    logical `#pragma omp` line."""
-    out = []
-    i = 0
-    while i < len(lines):
-        if _PRAGMA_OMP.match(lines[i]):
-            start = i
-            text = lines[i].rstrip()
-            while text.endswith("\\") and i + 1 < len(lines):
-                text = text[:-1].rstrip() + " " + lines[i + 1].strip()
-                i += 1
-            out.append((start, i, " ".join(text.split())))
-        i += 1
-    return out
 
 
 def _clause_vars(text: str) -> tuple[set[str], set[str], set[str]]:
@@ -373,16 +455,15 @@ def _clause_vars(text: str) -> tuple[set[str], set[str], set[str]]:
     return shared, privates, reductions
 
 
-def _block_extent(lines: list[str], i: int) -> tuple[int, int]:
+def _block_extent(lines: list[str], i: int,
+                  pragma_lines: set[int]) -> tuple[int, int]:
     """Structured-block extent (first_line0, last_line0) starting the scan at
     line i: a brace block, a for/while/if statement (with its own block or
     single statement), or a single `;`-terminated statement. Skips further
-    pragma lines (chained worksharing directives) first."""
+    omp pragma lines (chained worksharing directives, as joined by
+    directives()) first."""
     n = len(lines)
-    while i < n and (_PRAGMA_OMP.match(lines[i]) or not lines[i].strip()):
-        if _PRAGMA_OMP.match(lines[i]):
-            while lines[i].rstrip().endswith("\\") and i + 1 < n:
-                i += 1
+    while i < n and (i in pragma_lines or not lines[i].strip()):
         i += 1
     if i >= n:
         return i, i
@@ -441,9 +522,10 @@ def _guard_scope_end(lines: list[str], decl_line0: int) -> int:
     return len(lines) - 1
 
 
-def extract_omp(blanked: list[str]) -> tuple[list[OmpRegion], dict[int, set[str]]]:
+def extract_omp(blanked: list[str], spans: set[int]
+                ) -> tuple[list[OmpRegion], dict[int, set[str]]]:
     """Extract OmpRegion records and per-line synchronization coverage from
-    comment-blanked source lines (1-based results)."""
+    blank_with_spans() output (1-based results)."""
     regions: list[OmpRegion] = []
     sync: dict[int, set[str]] = {}
 
@@ -451,15 +533,22 @@ def extract_omp(blanked: list[str]) -> tuple[list[OmpRegion], dict[int, set[str]
         for ln in range(first0 + 1, last0 + 2):
             sync.setdefault(ln, set()).add(tag)
 
-    pragmas = _logical_pragmas(blanked)
-    for first0, last0, text in pragmas:
-        rest = _PRAGMA_OMP.match(text).group("rest")
-        words = rest.split()
+    def statement_end(i: int) -> int:
+        while i < len(blanked) and ";" not in blanked[i]:
+            i += 1
+        return min(i, len(blanked) - 1)
+
+    pragmas = [(first0, last0, text, m.group("rest").split())
+               for first0, last0, text in directives(blanked, spans)
+               for m in [_PRAGMA_OMP.match(text)] if m]
+    pragma_lines = {j for first0, last0, _, _ in pragmas
+                    for j in range(first0, last0 + 1)}
+    for first0, last0, text, words in pragmas:
         if not words:
             continue
         if words[0] == "parallel":
             shared, privates, reductions = _clause_vars(text)
-            bstart0, bend0 = _block_extent(blanked, last0 + 1)
+            bstart0, bend0 = _block_extent(blanked, last0 + 1, pragma_lines)
             region = OmpRegion(
                 pragma_line=first0 + 1, start=bstart0 + 1, end=bend0 + 1,
                 text=text, shared=shared, privates=privates,
@@ -470,36 +559,35 @@ def extract_omp(blanked: list[str]) -> tuple[list[OmpRegion], dict[int, set[str]
                 m = _FOR_HEADER.search(header)
                 if m:
                     region.induction.add(m.group("var"))
-            # Inner worksharing loops inside the region extent.
-            for f0, l0, t in pragmas:
-                if not (bstart0 <= f0 <= bend0):
+            # Inner worksharing loops and atomic reads inside the extent.
+            for f0, l0, itext, inner in pragmas:
+                if not (bstart0 <= f0 <= bend0) or not inner:
                     continue
-                inner = _PRAGMA_OMP.match(t).group("rest").split()
-                if inner and inner[0] == "for":
-                    _, ipriv, ired = _clause_vars(t)
+                if inner[0] == "for":
+                    _, ipriv, ired = _clause_vars(itext)
                     region.privates |= ipriv
                     region.reductions |= ired
-                    istart0, _ = _block_extent(blanked, l0 + 1)
+                    istart0, _ = _block_extent(blanked, l0 + 1, pragma_lines)
                     header = " ".join(
                         blanked[istart0:min(istart0 + 3, len(blanked))])
                     m = _FOR_HEADER.search(header)
                     if m:
                         region.induction.add(m.group("var"))
+                elif inner[:2] == ["atomic", "read"]:
+                    region.atomic_reads.append(
+                        (f0 + 1, statement_end(l0 + 1) + 1))
             regions.append(region)
         elif words[0] == "atomic":
-            tag = "atomic-read" if "read" in words[1:2] else "atomic"
+            tag = "atomic-read" if words[1:2] == ["read"] else "atomic"
             # Covers the next statement through its `;`.
-            j = last0 + 1
-            while j < len(blanked) and ";" not in blanked[j]:
-                j += 1
-            cover(last0 + 1, min(j, len(blanked) - 1), tag)
+            cover(last0 + 1, statement_end(last0 + 1), tag)
         elif words[0] == "critical":
-            cstart0, cend0 = _block_extent(blanked, last0 + 1)
+            cstart0, cend0 = _block_extent(blanked, last0 + 1, pragma_lines)
             cover(cstart0, cend0, "critical")
         elif words[0] in ("single", "master", "masked"):
             # One thread executes the block; `single` is additionally
             # bracketed by implicit barriers (no nowait in this codebase).
-            cstart0, cend0 = _block_extent(blanked, last0 + 1)
+            cstart0, cend0 = _block_extent(blanked, last0 + 1, pragma_lines)
             cover(cstart0, cend0, "single")
 
     # omp_set_lock .. omp_unset_lock spans.

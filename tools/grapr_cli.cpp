@@ -1,15 +1,16 @@
 // grapr — command-line interface to the community detection framework.
 //
-//   grapr generate --type lfr --n 100000 --mu 0.3 --out g.grpr
-//   grapr detect   --algo PLM --in g.grpr --out communities.txt
-//   grapr stats    --in g.grpr
-//   grapr compare  --a communities.txt --b truth.txt [--graph g.grpr]
+//   grapr generate --type lfr --n 100000 --mu 0.3 --out g.gcsr
+//   grapr detect   --algo PLM --in g.gcsr --out communities.txt
+//   grapr stats    --in g.gcsr
+//   grapr compare  --a communities.txt --b truth.txt [--graph g.gcsr]
 //   grapr convert  --in g.metis --out g.tsv
 //
 // Graph formats are inferred from the extension: .metis/.graph (METIS),
-// .grpr (grapr binary), anything else is read/written as a whitespace
-// edge list. The tool is the scripting surface of the library — the
-// paper's "interactive data analysis workflow" driven from a shell.
+// .gcsr (binary CSR, io/binary_csr.hpp), anything else is read/written
+// as a whitespace edge list. The tool is the scripting surface of the
+// library — the paper's "interactive data analysis workflow" driven from
+// a shell.
 
 #include <cstdio>
 #include <cstdlib>
@@ -122,15 +123,15 @@ Graph loadGraph(const std::string& path, const Args& args) {
     if (endsWith(path, ".metis") || endsWith(path, ".graph")) {
         return io::readMetis(path, options);
     }
-    if (endsWith(path, ".grpr")) return io::readBinary(path);
+    if (endsWith(path, ".gcsr")) return io::readBinaryCsr(path).graph.toGraph();
     return io::readEdgeListCsr(path, options).toGraph();
 }
 
 void saveGraph(const Graph& g, const std::string& path) {
     if (endsWith(path, ".metis") || endsWith(path, ".graph")) {
         io::writeMetis(g, path);
-    } else if (endsWith(path, ".grpr")) {
-        io::writeBinary(g, path);
+    } else if (endsWith(path, ".gcsr")) {
+        io::writeBinaryCsr(CsrGraph(g), 0, path);
     } else if (endsWith(path, ".dot")) {
         io::writeDot(g, path);
     } else {
