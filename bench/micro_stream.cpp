@@ -17,7 +17,7 @@
 //   * incremental detection — a ~1% edge-churn batch, then
 //     StreamingPlm::applyBatch (seeded from the converged partition,
 //     re-activating only the touched frontier) against a from-scratch
-//     Plm::runFrozen on the same snapshot. Reports the seeded sweep's
+//     Plm::run on the same CsrGraph snapshot. Reports the seeded sweep's
 //     move count, the re-activated fraction and the modularity gap.
 //
 // Batch streams are recorded once against the evolving state (the
@@ -323,7 +323,7 @@ InstanceReport measureInstance(const std::string& name,
             {
                 Random::setSeed(6302);
                 Timer t;
-                scratch = Plm().runFrozen(next->graph);
+                scratch = Plm().run(next->graph);
                 scratchSamples.push_back(t.elapsed());
             }
         }

@@ -92,7 +92,7 @@ int main() {
         const double incrementalSeconds = incrementalTimer.elapsed();
 
         Timer scratchTimer;
-        const Partition fromScratch = Plm().runFrozen(after->graph);
+        const Partition fromScratch = Plm().run(after->graph);
         const double scratchSeconds = scratchTimer.elapsed();
 
         const double reactivatedPct =

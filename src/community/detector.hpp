@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 #include "structures/partition.hpp"
 #include "support/progress.hpp"
@@ -22,6 +23,12 @@ public:
     /// an independent run; randomized algorithms may return different
     /// solutions per call).
     virtual Partition run(const Graph& g) = 0;
+
+    /// Compute communities for a frozen graph. The default thaws g into a
+    /// Graph once and runs run(const Graph&) on it; detectors with a
+    /// frozen kernel (PLM, PLMR, PLP) override it and build no Graph.
+    /// Both overloads return the same partition for the same graph.
+    virtual Partition run(const CsrGraph& g) { return run(g.toGraph()); }
 
     /// Human-readable algorithm label, e.g. "PLM(gamma=1)".
     virtual std::string toString() const = 0;

@@ -414,10 +414,18 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
     auto provenStuck = [&](node u, MoveScratch<Cells>& sc)
         __attribute__((noinline)) {
         std::uint32_t lastEvaluated;
+        // grapr:analyze-allow(shared-write-safety): u's own slot. A sweep
+        // evaluates u once, and evaluatedIn[u] and slack[u] are written
+        // only at u's turn; the sweeps' barriers order the rounds. The
+        // read is atomic only because TSan cannot see libgomp's barriers,
+        // and u comes from a work list, so the analysis cannot tie it to
+        // the iteration.
 #pragma omp atomic read
         lastEvaluated = evaluatedIn[u];
         if (touchedIn[u].load(std::memory_order_relaxed) < lastEvaluated) {
             double proven;
+            // grapr:analyze-allow(shared-write-safety): u's own slot, as
+            // for evaluatedIn[u] above.
 #pragma omp atomic read
             proven = slack[u];
             const std::uint64_t drift = movedBefore[round] -
@@ -903,10 +911,10 @@ Partition Plm::runRecursive(const CsrGraph& g, count level) {
 
 Partition Plm::run(const Graph& g) {
     const CsrGraph frozen(g);
-    return runFrozen(frozen);
+    return run(frozen);
 }
 
-Partition Plm::runFrozen(const CsrGraph& g) {
+Partition Plm::run(const CsrGraph& g) {
     levels_.clear();
     Partition zeta;
     const VertexFollowingReduction reduction =

@@ -119,12 +119,12 @@ class Plm : public CommunityDetector {
 public:
     explicit Plm(PlmConfig config = {}) : config_(config) {}
 
-    /// Freezes g into a CsrGraph and runs runFrozen on it.
+    /// Freezes g into a CsrGraph and runs on that.
     Partition run(const Graph& g) override;
 
     /// Run on an already-frozen graph (no freeze cost, no conversion):
     /// the entry point for callers that hold a CsrGraph anyway.
-    Partition runFrozen(const CsrGraph& g);
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override;
 

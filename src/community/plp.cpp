@@ -13,10 +13,10 @@ namespace grapr {
 
 Partition Plp::run(const Graph& g) {
     const CsrGraph frozen(g);
-    return runFrozen(frozen);
+    return run(frozen);
 }
 
-Partition Plp::runFrozen(const CsrGraph& g) {
+Partition Plp::run(const CsrGraph& g) {
     if (config_.vertexFollowing) {
         const VertexFollowingReduction reduction = VertexFollowing::reduce(g);
         if (reduction.collapsed > 0) {

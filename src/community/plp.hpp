@@ -66,11 +66,11 @@ public:
     explicit Plp(PlpConfig config = {}) : config_(config) {}
 
     /// Freezes g into a CsrGraph (the O(m) freeze is amortized over tens
-    /// of label sweeps that then stream flat arrays) and runs runFrozen.
+    /// of label sweeps that then stream flat arrays) and runs on that.
     Partition run(const Graph& g) override;
 
     /// Run on an already-frozen graph (no freeze cost, no conversion).
-    Partition runFrozen(const CsrGraph& g);
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override;
 

@@ -65,7 +65,7 @@ struct PlpScratch {
 
 void StreamingPlm::initialize(const CsrGraph& g) {
     Plm detector(config_.cold);
-    zeta_ = detector.runFrozen(g); // compacted, upperBound = k
+    zeta_ = detector.run(g); // compacted, upperBound = k
     lastReactivated_ = 0;
     lastMoves_ = 0;
     initialized_ = true;
@@ -98,7 +98,7 @@ void StreamingPlm::applyBatch(const CsrGraph& g,
 
 void StreamingPlp::initialize(const CsrGraph& g) {
     Plp detector(config_.cold);
-    zeta_ = detector.runFrozen(g);
+    zeta_ = detector.run(g);
     // Labels are node-id based; make room so grown graphs can hand new
     // nodes their own id as a fresh label.
     zeta_.setUpperBound(checkedNodeBound(

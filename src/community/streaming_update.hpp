@@ -54,7 +54,7 @@ public:
     explicit StreamingPlm(StreamingPlmConfig config = {})
         : config_(config) {}
 
-    /// Full static detection on `g` (Plm::runFrozen with config_.cold).
+    /// Full static detection on `g` (Plm::run on the CsrGraph with config_.cold).
     void initialize(const CsrGraph& g);
 
     /// Incremental re-detection on the post-batch snapshot `g`, seeded

@@ -235,9 +235,13 @@ BinaryCsrSnapshot readBinaryCsr(const std::string& path) {
 
     const unsigned char* neighborBytes =
         bytes + kHeaderBytes + offsets.size() * sizeof(index);
+    // An empty vector's data() may be null, and memcpy to null is
+    // undefined even for zero bytes: copy only when there is something.
     std::vector<node> neighbors(halfEdges);
-    std::memcpy(neighbors.data(), neighborBytes,
-                neighbors.size() * sizeof(node));
+    if (halfEdges > 0) {
+        std::memcpy(neighbors.data(), neighborBytes,
+                    neighbors.size() * sizeof(node));
+    }
     for (const node v : neighbors) {
         if (v >= bound) {
             throw IoError(path, 0, 0,
@@ -246,7 +250,7 @@ BinaryCsrSnapshot readBinaryCsr(const std::string& path) {
     }
 
     std::vector<edgeweight> weights;
-    if (weighted) {
+    if (weighted && halfEdges > 0) {
         const unsigned char* weightBytes =
             neighborBytes + neighbors.size() * sizeof(node) + pad;
         weights.resize(halfEdges);

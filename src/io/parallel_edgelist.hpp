@@ -3,7 +3,10 @@
 //
 // The file is memory-mapped (mapped_file.hpp), split into newline-aligned
 // chunks, and the chunks are tokenised in parallel with the allocation-free
-// scanner (text_scanner.hpp). The parsed edges then flow into a CsrGraph
+// scanner (text_scanner.hpp). Each chunk stages its edges as pairs of
+// 32-bit node ids (8 bytes per edge, plus 8 for a weight on weighted
+// input), reserved from its line count so the staging never grows by
+// copying. readEdgeListCsr then releases the text and assembles the CSR
 // through a two-pass build — per-chunk degree count, prefix sum, parallel
 // scatter — with no intermediate adjacency-list Graph. Because chunk
 // results are stitched in file order, the resulting CsrGraph (offsets,
@@ -32,7 +35,8 @@ CsrGraph readEdgeListCsr(const std::string& path,
                          std::vector<std::uint64_t>* originalIds = nullptr);
 
 /// Same parser over an in-memory buffer (`name` is used in error
-/// messages). This is the entry point the fuzz tests drive.
+/// messages), which stays alive throughout. This is the entry point the
+/// fuzz tests drive.
 CsrGraph parseEdgeListCsr(const char* data, std::size_t size,
                           const std::string& name,
                           const ParseOptions& options = {},

@@ -20,12 +20,14 @@ struct ChunkError {
     bool set = false;
     std::size_t offset = 0;
     const char* message = nullptr;
+    bool recoverable = false; // permissive mode skips it
 
-    void record(std::size_t off, const char* msg) {
+    void record(std::size_t off, const char* msg, bool skippable) {
         if (set) return;
         set = true;
         offset = off;
         message = msg;
+        recoverable = skippable;
     }
 };
 
@@ -120,7 +122,8 @@ bool scanMetisRow(const char* p, const char* lineEnd, const char* data,
             if (strict) {
                 error.record(static_cast<std::size_t>(tokenStart - data),
                              "malformed neighbor id (expected 1-based "
-                             "integer)");
+                             "integer)",
+                             /*skippable=*/true);
                 return false;
             }
             scan::skipToken(p, lineEnd);
@@ -133,7 +136,7 @@ bool scanMetisRow(const char* p, const char* lineEnd, const char* data,
             // other endpoint's row cannot be located, so dropping it would
             // silently desymmetrise the graph.
             error.record(static_cast<std::size_t>(tokenStart - data),
-                         "neighbor id out of range");
+                         "neighbor id out of range", /*skippable=*/false);
             return false;
         }
         double w = 1.0;
@@ -144,7 +147,8 @@ bool scanMetisRow(const char* p, const char* lineEnd, const char* data,
                 // Not recoverable either, for the same reason: the entry
                 // mirroring this one in row `id` would be kept.
                 error.record(static_cast<std::size_t>(weightStart - data),
-                             "missing, malformed or non-finite edge weight");
+                             "missing, malformed or non-finite edge weight",
+                             /*skippable=*/false);
                 return false;
             }
         }
@@ -197,7 +201,8 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
         if (chunk.error.set) {
             throw IoError(name,
                           scan::lineOfOffset(data, size, chunk.error.offset),
-                          chunk.error.offset, chunk.error.message);
+                          chunk.error.offset, chunk.error.message,
+                          chunk.error.recoverable);
         }
         droppedTokens += chunk.droppedTokens;
     }
@@ -230,7 +235,8 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
     if (totalRows > header.n) {
         if (options.strict) {
             throw IoError(name, 0, size,
-                          "more adjacency rows than the declared node count");
+                          "more adjacency rows than the declared node count",
+                          /*recoverable=*/true);
         }
         logWarn("readMetis: ignoring ", totalRows - header.n,
                 " adjacency row(s) beyond the declared node count in ", name);
@@ -327,7 +333,8 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
                           "header declares " + std::to_string(header.m) +
                               " edges but " +
                               std::to_string(graph.numberOfEdges()) +
-                              " were parsed");
+                              " were parsed",
+                          /*recoverable=*/true);
         }
         logWarn("readMetis: header declares ", header.m, " edges but ",
                 graph.numberOfEdges(), " were parsed (", name, ")");

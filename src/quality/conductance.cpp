@@ -16,7 +16,8 @@ struct CommunityAggregates {
     count communities = 0;
 };
 
-CommunityAggregates aggregate(const Partition& zeta, const Graph& g) {
+template <typename G>
+CommunityAggregates aggregate(const Partition& zeta, const G& g) {
     require(zeta.numberOfElements() >= g.upperNodeIdBound(),
             "conductance: partition does not cover the graph");
     const count k = zeta.upperBound();
@@ -46,11 +47,7 @@ CommunityAggregates aggregate(const Partition& zeta, const Graph& g) {
     return agg;
 }
 
-} // namespace
-
-std::vector<double> communityConductances(const Partition& zeta,
-                                          const Graph& g) {
-    const CommunityAggregates agg = aggregate(zeta, g);
+std::vector<double> conductances(const CommunityAggregates& agg) {
     std::vector<double> result(agg.communities, 0.0);
     for (count c = 0; c < agg.communities; ++c) {
         const double volC = agg.volume[c];
@@ -61,9 +58,8 @@ std::vector<double> communityConductances(const Partition& zeta,
     return result;
 }
 
-ConductanceSummary conductanceSummary(const Partition& zeta, const Graph& g) {
-    const CommunityAggregates agg = aggregate(zeta, g);
-    const std::vector<double> phi = communityConductances(zeta, g);
+ConductanceSummary summarize(const CommunityAggregates& agg) {
+    const std::vector<double> phi = conductances(agg);
     ConductanceSummary summary;
     double total = 0.0;
     double weighted = 0.0;
@@ -86,6 +82,27 @@ ConductanceSummary conductanceSummary(const Partition& zeta, const Graph& g) {
     summary.average = total / static_cast<double>(populated);
     summary.weightedAverage = weightTotal > 0.0 ? weighted / weightTotal : 0.0;
     return summary;
+}
+
+} // namespace
+
+std::vector<double> communityConductances(const Partition& zeta,
+                                          const Graph& g) {
+    return conductances(aggregate(zeta, g));
+}
+
+std::vector<double> communityConductances(const Partition& zeta,
+                                          const CsrGraph& g) {
+    return conductances(aggregate(zeta, g));
+}
+
+ConductanceSummary conductanceSummary(const Partition& zeta, const Graph& g) {
+    return summarize(aggregate(zeta, g));
+}
+
+ConductanceSummary conductanceSummary(const Partition& zeta,
+                                      const CsrGraph& g) {
+    return summarize(aggregate(zeta, g));
 }
 
 double averageIntraDensity(const Partition& zeta, const Graph& g) {

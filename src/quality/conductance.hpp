@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 #include "structures/partition.hpp"
 
@@ -17,6 +18,9 @@ namespace grapr {
 /// volume report 0.
 std::vector<double> communityConductances(const Partition& zeta,
                                           const Graph& g);
+/// Frozen-graph overload — the same sums in the same order.
+std::vector<double> communityConductances(const Partition& zeta,
+                                          const CsrGraph& g);
 
 struct ConductanceSummary {
     double minimum = 0.0;
@@ -27,6 +31,8 @@ struct ConductanceSummary {
 };
 
 ConductanceSummary conductanceSummary(const Partition& zeta, const Graph& g);
+ConductanceSummary conductanceSummary(const Partition& zeta,
+                                      const CsrGraph& g);
 
 /// Fraction of realized intra-community edges over possible ones,
 /// averaged over communities (unweighted; size-1 communities skipped).

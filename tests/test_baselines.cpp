@@ -198,3 +198,25 @@ TEST(Registry, EveryDetectorSolvesSmokeGraph) {
         EXPECT_GT(jaccardIndex(zeta, truth), 0.5) << name;
     }
 }
+
+TEST(Registry, FrozenRunMatchesGraphRun) {
+    // run(const CsrGraph&) is the same detector as run(const Graph&): PLM,
+    // PLMR and PLP sweep the frozen graph directly, every other detector
+    // thaws it once. One thread, so both runs follow the same order.
+    const SingleThreadScope pinned;
+    Random::setSeed(311);
+    const Graph g = PlantedPartitionGenerator(240, 6, 0.3, 0.02).generate();
+    const CsrGraph frozen(g);
+    for (const auto& name : detectorNames()) {
+        Random::setSeed(97);
+        const Partition viaGraph = makeDetector(name)->run(g);
+        Random::setSeed(97);
+        const Partition viaCsr = makeDetector(name)->run(frozen);
+        ASSERT_EQ(viaCsr.numberOfElements(), viaGraph.numberOfElements())
+            << name;
+        EXPECT_EQ(viaCsr.upperBound(), viaGraph.upperBound()) << name;
+        for (node v = 0; v < viaGraph.numberOfElements(); ++v) {
+            ASSERT_EQ(viaCsr[v], viaGraph[v]) << name << " node " << v;
+        }
+    }
+}

@@ -345,7 +345,7 @@ TEST_P(VertexFollowingProperty, PendantsLandInAnchorsCommunity) {
     config.vertexFollowing = true;
     Random::setSeed(seed + 60);
     Plm plm(config);
-    const Partition zeta = plm.runFrozen(csr);
+    const Partition zeta = plm.run(csr);
 
     // Every collapsed node (pendants AND inner chain nodes) shares its
     // resolved anchor's community — the defining guarantee of the

@@ -5,7 +5,10 @@
 // every ParseOptions combination, and thread counts 1/2/4; plus the chunk
 // boundary cases (file not ending in a newline, CRLF line endings, empty
 // lines, comment-only files, tokens adjacent to chunk split points), the
-// mmap read() fallback, and the IoError location contract.
+// mmap read() fallback, and the IoError location contract. Every id path
+// (remapped ids past 32 bits, direct ids, a declared count), weighted and
+// directed input are pinned to exact arrays and errors at 1-4 threads,
+// through both the mapping and the heap fallback.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "generators/barabasi_albert.hpp"
@@ -411,6 +416,247 @@ TEST_F(ParallelIoTest, EdgeListRejectsNonFiniteWeights) {
         EXPECT_EQ(g.numberOfEdges(), 2u) << "threads=" << threads;
         EXPECT_EQ(g.totalEdgeWeight(), 3.5) << "threads=" << threads;
     }
+}
+
+// --- every ingestion path, pinned at 1-4 threads -------------------------
+
+/// Read through the mapping and through the heap fallback
+/// (GRAPR_IO_NO_MMAP=1), at 1, 2, 3 and 4 threads; `check` gets each
+/// combination's options and a label.
+template <typename Check>
+void forEveryIngestionPath(io::ParseOptions options, Check&& check) {
+    for (const bool heap : {false, true}) {
+        if (heap) ::setenv("GRAPR_IO_NO_MMAP", "1", 1);
+        for (const int threads : {1, 2, 3, 4}) {
+            options.threads = threads;
+            check(options, std::string(heap ? "heap" : "mmap") +
+                               " threads=" + std::to_string(threads));
+        }
+        if (heap) ::unsetenv("GRAPR_IO_NO_MMAP");
+    }
+}
+
+TEST_F(ParallelIoTest, RemapNumbersIdsAbove32BitsInFirstAppearanceOrder) {
+    const std::string file = write("wide.tsv",
+                                   "# raw ids past the 32-bit space\n"
+                                   "8589934592 5000000000\n"
+                                   "5000000000 7\n"
+                                   "7 8589934592\n"
+                                   "18446744073709551615 "
+                                   "18446744073709551615\n");
+    forEveryIngestionPath({}, [&](const io::ParseOptions& options,
+                                  const std::string& what) {
+        std::vector<std::uint64_t> ids;
+        const CsrGraph g = io::readEdgeListCsr(file, options, &ids);
+        EXPECT_EQ(ids, (std::vector<std::uint64_t>{
+                           8589934592ull, 5000000000ull, 7ull,
+                           18446744073709551615ull}))
+            << what;
+        EXPECT_EQ(g.offsets(), (std::vector<grapr::index>{0, 2, 4, 6, 7})) << what;
+        EXPECT_EQ(g.neighborArray(), (std::vector<node>{1, 2, 0, 2, 1, 0, 3}))
+            << what;
+        EXPECT_EQ(g.numberOfEdges(), 4u) << what;
+        EXPECT_EQ(g.numberOfSelfLoops(), 1u) << what;
+    });
+
+    // Many lines, so every chunk holds ids the earlier chunks also hold:
+    // numbering and rows match one sequential pass over the file.
+    Random::setSeed(4242);
+    std::string content;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> raw;
+    for (int i = 0; i < 3000; ++i) {
+        const std::uint64_t u =
+            (std::uint64_t{1} << 32) +
+            static_cast<std::uint64_t>(Random::integer(0, 700)) * 1048573;
+        const std::uint64_t v =
+            (std::uint64_t{5} << 33) +
+            static_cast<std::uint64_t>(Random::integer(0, 700)) * 7919;
+        raw.emplace_back(u, i % 5 == 0 ? u : v);
+        content += std::to_string(raw.back().first) + " " +
+                   std::to_string(raw.back().second) + "\n";
+    }
+    const std::string many = write("wide_many.tsv", content);
+    std::vector<std::uint64_t> expectedIds;
+    std::unordered_map<std::uint64_t, node> number;
+    std::vector<std::vector<node>> rows;
+    auto idOf = [&](std::uint64_t id) {
+        const auto [it, inserted] =
+            number.emplace(id, static_cast<node>(expectedIds.size()));
+        if (inserted) {
+            expectedIds.push_back(id);
+            rows.emplace_back();
+        }
+        return it->second;
+    };
+    for (const auto& [ru, rv] : raw) {
+        const node u = idOf(ru);
+        const node v = idOf(rv);
+        rows[u].push_back(v);
+        if (u != v) rows[v].push_back(u);
+    }
+    std::vector<grapr::index> expectedOffsets{0};
+    std::vector<node> expectedNeighbors;
+    for (const std::vector<node>& row : rows) {
+        expectedNeighbors.insert(expectedNeighbors.end(), row.begin(),
+                                 row.end());
+        expectedOffsets.push_back(expectedNeighbors.size());
+    }
+    forEveryIngestionPath({}, [&](const io::ParseOptions& options,
+                                  const std::string& what) {
+        std::vector<std::uint64_t> ids;
+        const CsrGraph g = io::readEdgeListCsr(many, options, &ids);
+        EXPECT_EQ(ids, expectedIds) << what;
+        EXPECT_EQ(g.offsets(), expectedOffsets) << what;
+        EXPECT_EQ(g.neighborArray(), expectedNeighbors) << what;
+    });
+}
+
+TEST_F(ParallelIoTest, DirectIdPast32BitsThrowsInBothModes) {
+    const std::string content = "0 1\n1 2\n4294967296 3\n3 0\n";
+    const std::string file = write("past32.tsv", content);
+    for (const bool strict : {true, false}) {
+        io::ParseOptions direct;
+        direct.remapIds = false;
+        direct.strict = strict;
+        forEveryIngestionPath(direct, [&](const io::ParseOptions& options,
+                                          const std::string& what) {
+            try {
+                io::readEdgeListCsr(file, options);
+                ADD_FAILURE() << "expected IoError, " << what;
+            } catch (const io::IoError& e) {
+                EXPECT_EQ(std::string(e.what()),
+                          file + ": node id exceeds the 32-bit id space "
+                                 "(byte " +
+                              std::to_string(content.size()) + ")")
+                    << what;
+                EXPECT_EQ(e.line(), 0u) << what;
+                EXPECT_FALSE(e.recoverable()) << what;
+            }
+        });
+    }
+
+    // Raised after parsing: a malformed line further on still wins in
+    // strict mode, and permissive mode skips it, then throws.
+    const std::string later = "0 1\n4294967296 2\nbroken\n3 0\n";
+    const std::string laterFile = write("past32_later.tsv", later);
+    for (const bool strict : {true, false}) {
+        io::ParseOptions direct;
+        direct.remapIds = false;
+        direct.strict = strict;
+        forEveryIngestionPath(direct, [&](const io::ParseOptions& options,
+                                          const std::string& what) {
+            try {
+                io::readEdgeListCsr(laterFile, options);
+                ADD_FAILURE() << "expected IoError, " << what;
+            } catch (const io::IoError& e) {
+                if (strict) {
+                    EXPECT_EQ(std::string(e.what()),
+                              laterFile + ":3: malformed node id (expected "
+                                          "unsigned integer) (byte 17)")
+                        << what;
+                    EXPECT_TRUE(e.recoverable()) << what;
+                } else {
+                    EXPECT_EQ(e.line(), 0u) << what;
+                    EXPECT_EQ(e.byteOffset(), later.size()) << what;
+                    EXPECT_FALSE(e.recoverable()) << what;
+                }
+            }
+        });
+    }
+}
+
+TEST_F(ParallelIoTest, DeclaredCountPast32BitsThrowsInBothModes) {
+    const std::string file =
+        write("declared_huge.tsv", "# grapr edge list: n=4294967296 m=1\n0 1\n");
+    for (const bool strict : {true, false}) {
+        io::ParseOptions options;
+        options.strict = strict;
+        forEveryIngestionPath(options, [&](const io::ParseOptions& o,
+                                           const std::string& what) {
+            try {
+                io::readEdgeListCsr(file, o);
+                ADD_FAILURE() << "expected IoError, " << what;
+            } catch (const io::IoError& e) {
+                EXPECT_EQ(std::string(e.what()),
+                          file + ":1: declared node count exceeds the 32-bit "
+                                 "id space (byte 0)")
+                    << what;
+                EXPECT_FALSE(e.recoverable()) << what;
+            }
+        });
+    }
+}
+
+TEST_F(ParallelIoTest, WeightedAndDirectedInputPinned) {
+    const std::string file = write("weighted_directed.tsv",
+                                   "0 1 0.5\n"
+                                   "1 0 2.0\n"
+                                   "1 2 1.5\n"
+                                   "0 1 3.0\n"
+                                   "2 2 4.0\n");
+    io::ParseOptions weighted;
+    weighted.weighted = true;
+    // Every entry in file order of its edge.
+    forEveryIngestionPath(weighted, [&](const io::ParseOptions& options,
+                                        const std::string& what) {
+        const CsrGraph g = io::readEdgeListCsr(file, options);
+        EXPECT_EQ(g.offsets(), (std::vector<grapr::index>{0, 3, 7, 9})) << what;
+        EXPECT_EQ(g.neighborArray(),
+                  (std::vector<node>{1, 1, 1, 0, 0, 2, 0, 1, 2}))
+            << what;
+        EXPECT_EQ(g.weightArray(),
+                  (std::vector<edgeweight>{0.5, 2.0, 3.0, 0.5, 2.0, 1.5, 3.0,
+                                           1.5, 4.0}))
+            << what;
+        EXPECT_EQ(g.numberOfEdges(), 5u) << what;
+        EXPECT_EQ(g.totalEdgeWeight(), 11.0) << what;
+    });
+    // Directed: the first instance of each pair keeps its weight.
+    io::ParseOptions directed = weighted;
+    directed.directedInput = true;
+    forEveryIngestionPath(directed, [&](const io::ParseOptions& options,
+                                        const std::string& what) {
+        const CsrGraph g = io::readEdgeListCsr(file, options);
+        EXPECT_EQ(g.offsets(), (std::vector<grapr::index>{0, 1, 3, 5})) << what;
+        EXPECT_EQ(g.neighborArray(), (std::vector<node>{1, 0, 2, 1, 2}))
+            << what;
+        EXPECT_EQ(g.weightArray(),
+                  (std::vector<edgeweight>{0.5, 0.5, 1.5, 1.5, 4.0}))
+            << what;
+        EXPECT_EQ(g.numberOfEdges(), 3u) << what;
+        EXPECT_EQ(g.numberOfSelfLoops(), 1u) << what;
+        EXPECT_EQ(g.totalEdgeWeight(), 6.0) << what;
+    });
+}
+
+TEST_F(ParallelIoTest, RecoverableMarksWhatPermissiveModeSkips) {
+    auto errorOf = [](const std::string& file, const io::ParseOptions& o,
+                      bool metis) {
+        try {
+            if (metis) {
+                io::readMetisCsr(file, o);
+            } else {
+                io::readEdgeListCsr(file, o);
+            }
+        } catch (const io::IoError& e) {
+            return e;
+        }
+        return io::IoError("", 0, 0, "no error");
+    };
+    const io::ParseOptions strict;
+    // Skipped by permissive mode: a malformed edge line, a junk METIS
+    // token, a METIS edge count that disagrees with its header.
+    EXPECT_TRUE(errorOf(write("a.tsv", "0 1\nx y\n"), strict, false)
+                    .recoverable());
+    EXPECT_TRUE(errorOf(write("a.metis", "2 1\n2 x\n1\n"), strict, true)
+                    .recoverable());
+    EXPECT_TRUE(errorOf(write("b.metis", "2 2\n2\n1\n"), strict, true)
+                    .recoverable());
+    // Thrown in both modes: a METIS neighbor out of range.
+    const io::IoError range = errorOf(write("c.metis", "2 1\n3\n1\n"),
+                                      strict, true);
+    EXPECT_EQ(range.line(), 2u);
+    EXPECT_FALSE(range.recoverable());
 }
 
 // --- METIS ---------------------------------------------------------------

@@ -622,7 +622,7 @@ TEST(StreamingDetect, PlmTracksFromScratchQualityUnderChurn) {
 
     const SnapshotPtr final_ = engine.pin();
     Random::setSeed(713);
-    const Partition fromScratch = Plm().runFrozen(final_->graph);
+    const Partition fromScratch = Plm().run(final_->graph);
     const double qIncremental =
         Modularity().getQuality(incremental.communities(), final_->graph);
     const double qScratch =
@@ -662,7 +662,7 @@ TEST(StreamingDetect, PlmSeededSweepMovesOnRmatS13) {
 
     const SnapshotPtr last = engine.pin();
     Random::setSeed(743);
-    const Partition fromScratch = Plm().runFrozen(last->graph);
+    const Partition fromScratch = Plm().run(last->graph);
     const double qIncremental =
         Modularity().getQuality(incremental.communities(), last->graph);
     const double qScratch = Modularity().getQuality(fromScratch, last->graph);
@@ -768,7 +768,7 @@ TEST(StreamingDetect, PlpTracksFromScratchQualityUnderChurn) {
 
     const SnapshotPtr final_ = engine.pin();
     Random::setSeed(723);
-    const Partition fromScratch = Plp().runFrozen(final_->graph);
+    const Partition fromScratch = Plp().run(final_->graph);
     const double qIncremental =
         Modularity().getQuality(incremental.labels(), final_->graph);
     const double qScratch =

@@ -2,9 +2,10 @@
 OpenMP regions.
 
 For every variable or member written inside an OpenMP parallel region
-(including writes reached through one level of same-TU helpers: hoisted
-lambdas and same-file functions called from the region), classify the
-write on a four-point effect lattice:
+(including writes reached through same-TU helpers: hoisted lambdas the
+region calls, directly or through another such lambda, and same-file
+functions called from the region or those lambdas), classify the write
+on a four-point effect lattice:
 
   thread-local   the written object is private to the executing thread —
                  declared inside the region/helper extent, listed in a
@@ -37,8 +38,11 @@ disjoint while `sink.push_back(x)` and `shards[0].push_back(x)` are racy.
 Checks built on the classification (ids registered in checks.CHECK_IDS):
 
   shared-write-safety      unannotated racy writes fail, and so does an
-                           unannotated `omp atomic read` in a region's
-                           structured block (a stale snapshot by design)
+                           unannotated `omp atomic read` the region
+                           executes, in its block or in a helper (a
+                           stale snapshot by design) — unless the read
+                           is at the iteration's own index and every
+                           write to that variable in the region is too
   benign-race-validity     an annotation on a write proven synchronized /
                            disjoint / thread-local is stale and fails
   region-alloc             heap allocation or container growth inside a
@@ -166,6 +170,7 @@ class RegionAnalysis:
     derived: set[str] = field(default_factory=set)
     writes: list[WriteSite] = field(default_factory=list)
     alloc_sites: list[tuple[int, str]] = field(default_factory=list)
+    atomic_reads: list[AtomicRead] = field(default_factory=list)
 
 
 @dataclass
@@ -264,12 +269,13 @@ def _helper_extents(model: FileModel, blanked: list[str],
                     region: OmpRegion) -> tuple[list[tuple[int, int]],
                                                 set[str],
                                                 list[tuple[str, list[str]]]]:
-    """One level of same-TU helpers reachable from the region: hoisted
-    lambdas of the enclosing function that the region invokes or shares,
-    and same-file named functions called from the region. Returns the
-    extra (start, end) extents, the helper-local parameter names, and the
-    hoisted lambdas as (name, ordered params) for call-site index
-    derivation."""
+    """Same-TU helpers reachable from the region: hoisted lambdas of the
+    enclosing function that the region invokes or shares, or that an
+    included lambda invokes (processNode calling provenStuck), and
+    same-file named functions called from the region or those lambdas
+    (one level). Returns the extra (start, end) extents, the helper-local
+    parameter names, and the hoisted lambdas as (name, ordered params)
+    for call-site index derivation."""
     extents: list[tuple[int, int]] = []
     params: set[str] = set()
     lambdas: list[tuple[str, list[str]]] = []
@@ -278,19 +284,27 @@ def _helper_extents(model: FileModel, blanked: list[str],
 
     fn = _enclosing_function(model, region)
     if fn is not None:
-        for i in range(fn.start_line - 1, region.start - 1):
-            m = _LAMBDA_DECL.search(blanked[i])
-            if not m:
-                continue
-            name = m.group("name")
-            if not re.search(rf"\b{re.escape(name)}\b", region_text) \
-                    and name not in region.shared:
-                continue
-            end0 = _brace_extent(blanked, i)
-            extents.append((i + 1, end0 + 1))
-            plist = _lambda_params(blanked, i)
-            params |= set(plist)
-            lambdas.append((name, plist))
+        hoisted = [(m.group("name"), i)
+                   for i in range(fn.start_line - 1, region.start - 1)
+                   for m in [_LAMBDA_DECL.search(blanked[i])] if m]
+        included: set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for name, i in hoisted:
+                if name in included or (
+                        not re.search(rf"\b{re.escape(name)}\b",
+                                      region_text)
+                        and name not in region.shared):
+                    continue
+                included.add(name)
+                changed = True
+                end0 = _brace_extent(blanked, i)
+                extents.append((i + 1, end0 + 1))
+                plist = _lambda_params(blanked, i)
+                params |= set(plist)
+                lambdas.append((name, plist))
+                region_text += " " + " ".join(blanked[i:end0 + 1])
 
     # Only FREE calls bind same-file functions. A member call like
     # `counts.clear(...)` resolves through its receiver, which this
@@ -308,6 +322,48 @@ def _helper_extents(model: FileModel, blanked: list[str],
         extents.append((other.start_line, other.end_line))
         params |= {name for _t, name in other.params}
     return extents, params, lambdas
+
+
+_ATOMIC_READ_PRAGMA = re.compile(r"^\s*#\s*pragma\s+omp\s+atomic\s+read\b")
+_READ_TARGET = re.compile(
+    r"=\s*(?P<base>[A-Za-z_]\w*)"
+    r"(?P<rest>(?:(?:\.|->)[A-Za-z_]\w*|\[[^\[\]]*\])*)\s*;")
+
+
+@dataclass
+class AtomicRead:
+    line: int          # 1-based line of the `omp atomic read` pragma
+    var: str           # base identifier of the variable read
+    index_text: str    # element selector text ("" for whole-object)
+    last: int          # last line of the read statement
+
+
+def _atomic_reads(model: FileModel, blanked: list[str],
+                  region: OmpRegion,
+                  extents: list[tuple[int, int]]) -> list[AtomicRead]:
+    """Every `omp atomic read` the region executes: those in its own
+    block (the model's record) and those in the helper extents it
+    calls."""
+    spans = list(region.atomic_reads)
+    for a, b in extents[1:]:
+        for ln in range(a, min(b, len(blanked)) + 1):
+            if not _ATOMIC_READ_PRAGMA.match(blanked[ln - 1]):
+                continue
+            last = ln + 1
+            while "atomic-read" in model.sync_lines.get(last + 1, set()):
+                last += 1
+            spans.append((ln, last))
+    reads: list[AtomicRead] = []
+    for first, last in dict.fromkeys(spans):
+        text = " ".join(blanked[first:last])
+        m = _READ_TARGET.search(text)
+        var, idx = "", ""
+        if m:
+            var = m.group("base")
+            brackets = re.findall(r"\[([^\[\]]*)\]", m.group("rest"))
+            idx = brackets[-1] if brackets else ""
+        reads.append(AtomicRead(first, var, idx, last))
+    return reads
 
 
 def _strip_casts(text: str) -> str:
@@ -561,7 +617,19 @@ def analyze_region(model: FileModel, blanked: list[str],
     for ln, base, idx, kind in raw_writes:
         cls, reason = classify(ln, base, idx)
         ra.writes.append(WriteSite(ln, base, idx, cls, reason, kind))
+    ra.atomic_reads = _atomic_reads(model, blanked, region, extents)
     return ra
+
+
+def _own_slot_read(ra: RegionAnalysis, read: AtomicRead) -> bool:
+    """An atomic read that observes no other thread's write: it reads the
+    iteration's own element, and the region writes that variable, only at
+    the iteration's own index. (With no write in the region the analysis
+    proves nothing: the writers are elsewhere.)"""
+    writes = [w for w in ra.writes if w.var == read.var]
+    return bool(read.index_text) and bool(writes) and \
+        _own_index(read.index_text, ra.derived) and \
+        all(_own_index(w.index_text, ra.derived) for w in writes)
 
 
 # --------------------------------------------------------------------------
@@ -651,9 +719,15 @@ def check_shared_write_safety(fe: FileEffects,
                     f"parallel region ({w.reason}); prove it safe or mark "
                     f"it grapr:benign-race({w.var}) with the tolerance "
                     "argument")
-        # An atomic read in a region is a stale snapshot of state other
-        # threads update; the annotation names what it reads.
-        for first, last in ra.region.atomic_reads:
+        # An atomic read the region executes — in its block or in a helper
+        # it calls — is a stale snapshot of state other threads update,
+        # unless it provably reads the iteration's own slot; the
+        # annotation names what it reads.
+        for read in ra.atomic_reads:
+            first, last = read.line, read.last
+            if (first, "atomic-read") in seen or _own_slot_read(ra, read):
+                continue
+            seen.add((first, "atomic-read"))
             if not any(aline <= j <= aline + 8 and re.search(
                     rf"\b{re.escape(avar)}\b", fe.blanked[j - 1])
                     for aline, avar in _annotations(fe.model)

@@ -37,7 +37,9 @@ sanctioned escape hatches):
                        synchronized / disjoint on the parallel-effect
                        lattice, or carries a live grapr:benign-race(<var>)
                        annotation, as does every `omp atomic read`
-                       snapshot (effects.py)
+                       the region executes, helpers included, that does
+                       not provably read the iteration's own slot
+                       (effects.py)
   benign-race-validity a benign-race annotation on a write the analysis
                        proves safe is stale and fails
   region-alloc         no heap allocation / container growth inside

@@ -114,17 +114,19 @@ bool endsWith(const std::string& s, const std::string& suffix) {
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-Graph loadGraph(const std::string& path, const Args& args) {
+/// Load a graph file into the frozen layout, which every reader produces;
+/// commands that need the mutable Graph thaw it themselves.
+CsrGraph loadGraph(const std::string& path, const Args& args) {
     io::ParseOptions options;
     options.strict = !args.has("permissive");
     options.threads = static_cast<int>(args.integer("io-threads", 0));
     options.weighted = args.has("weighted");
     if (args.has("one-indexed")) options.indexBase = 1;
     if (endsWith(path, ".metis") || endsWith(path, ".graph")) {
-        return io::readMetis(path, options);
+        return io::readMetisCsr(path, options);
     }
-    if (endsWith(path, ".gcsr")) return io::readBinaryCsr(path).graph.toGraph();
-    return io::readEdgeListCsr(path, options).toGraph();
+    if (endsWith(path, ".gcsr")) return io::readBinaryCsr(path).graph;
+    return io::readEdgeListCsr(path, options);
 }
 
 void saveGraph(const Graph& g, const std::string& path) {
@@ -213,7 +215,7 @@ int commandDetect(const Args& args) {
         Parallel::setThreads(static_cast<int>(args.integer("threads", 1)));
     }
     const std::string algorithmName = args.str("algo", "PLM");
-    Graph g = loadGraph(args.required("in"), args);
+    const CsrGraph g = loadGraph(args.required("in"), args);
     std::printf("graph: n=%llu m=%llu\n",
                 static_cast<unsigned long long>(g.numberOfNodes()),
                 static_cast<unsigned long long>(g.numberOfEdges()));
@@ -250,7 +252,7 @@ int commandDetect(const Args& args) {
 }
 
 int commandStats(const Args& args) {
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     const GraphProfile profile =
         profileGraph(g, g.numberOfEdges() > 2000000 ? 1000000 : 0);
     std::printf("n               %llu\n",
@@ -279,7 +281,7 @@ int commandStats(const Args& args) {
 
 int commandLocal(const Args& args) {
     Random::setSeed(args.integer("seed-rng", 42));
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     const node seed = static_cast<node>(args.integer("seed", 0));
     LocalExpansion expansion(args.integer("max-size", 1000));
     Timer timer;
@@ -301,7 +303,7 @@ int commandLocal(const Args& args) {
 
 int commandOverlap(const Args& args) {
     Random::setSeed(args.integer("seed", 42));
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     OverlappingLpaConfig config;
     config.maxMemberships = args.integer("memberships", 2);
     OverlappingLpa lpa(config);
@@ -338,7 +340,7 @@ int commandCompare(const Args& args) {
     std::printf("rand     %.4f\n", randIndex(a, b));
     std::printf("nmi      %.4f\n", normalizedMutualInformation(a, b));
     if (args.has("graph")) {
-        Graph g = loadGraph(args.str("graph"), args);
+        const CsrGraph g = loadGraph(args.str("graph"), args);
         std::printf("modularity(a) %.4f\n", Modularity().getQuality(a, g));
         std::printf("modularity(b) %.4f\n", Modularity().getQuality(b, g));
         const ConductanceSummary phi = conductanceSummary(a, g);
@@ -362,7 +364,9 @@ int commandStream(const Args& args) {
 
     std::unique_ptr<StreamingGraph> engine;
     if (args.has("in")) {
-        Graph g = loadGraph(args.str("in"), args);
+        // Thawed: the Graph constructor sorts the rows the engine
+        // binary-searches, and accepts what the parsers accept.
+        const Graph g = loadGraph(args.str("in"), args).toGraph();
         std::printf("seed graph: n=%llu m=%llu\n",
                     static_cast<unsigned long long>(g.numberOfNodes()),
                     static_cast<unsigned long long>(g.numberOfEdges()));
@@ -422,7 +426,7 @@ int commandStream(const Args& args) {
 }
 
 int commandConvert(const Args& args) {
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     saveGraph(g, args.required("out"));
     std::printf("converted: n=%llu m=%llu -> %s\n",
                 static_cast<unsigned long long>(g.numberOfNodes()),
@@ -436,8 +440,10 @@ int commandConvert(const Args& args) {
 int main(int argc, char** argv) {
     if (argc < 2) usage();
     const std::string command = argv[1];
+    bool permissive = false;
     try {
         const Args args(argc, argv, 2);
+        permissive = args.has("permissive");
         if (command == "generate") return commandGenerate(args);
         if (command == "detect") return commandDetect(args);
         if (command == "stats") return commandStats(args);
@@ -449,9 +455,10 @@ int main(int argc, char** argv) {
         usage("unknown command");
     } catch (const io::IoError& e) {
         // Structured parse errors carry their own location; print it the
-        // way compilers do so editors can jump to the offending line.
+        // way compilers do so editors can jump to the offending line. The
+        // hint only where --permissive would get past the error.
         std::fprintf(stderr, "error: %s\n", e.what());
-        if (e.line() > 0) {
+        if (e.recoverable() && !permissive) {
             std::fprintf(stderr,
                          "hint: re-run with --permissive to skip malformed "
                          "lines\n");
