@@ -1,6 +1,8 @@
 // Ablation (§III-B implementation notes) — the PLM engineering choices:
-//  * parallel per-thread partial coarsening vs the sequential hash
-//    aggregation it replaced ("a major sequential bottleneck"),
+//  * parallel coarsening vs the sequential hash aggregation it replaced
+//    ("a major sequential bottleneck"), and the coarsening phase alone:
+//    the CSR path PLM runs at one and four threads, beside the Graph&
+//    hash-map path,
 //  * the resolution parameter gamma's effect on community count, the
 //    paper's remedy for the resolution limit.
 //
@@ -16,6 +18,7 @@
 #include "community/plm.hpp"
 #include "graph/csr_graph.hpp"
 #include "quality/modularity.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/timer.hpp"
 
@@ -56,27 +59,49 @@ int main() {
         }
     }
 
-    std::printf("--- raw coarsening phase only ---\n");
-    std::printf("%-22s %-12s %12s\n", "network", "strategy", "time[s]");
+    // The coarsening phase alone, on a PLM level-0 partition: the CSR path
+    // PLM runs, at one and four threads, and the Graph& hash-map path
+    // (EPP, the sequential Louvain) with per-thread maps or one map.
+    std::printf("--- raw coarsening phase only (PLM level-0 partition) ---\n");
+    std::printf("%-22s %-16s %8s %12s\n", "network", "path", "threads",
+                "time[s]");
+    const int threadsBefore = Parallel::maxThreads();
     for (const auto& spec : replicaSuite()) {
         if (std::find(subset.begin(), subset.end(), spec.name) ==
             subset.end()) {
             continue;
         }
         const Graph g = loadReplica(spec);
-        // A realistic PLM level-one partition to coarsen by.
+        const CsrGraph frozen(g);
         Random::setSeed(61);
         Partition zeta(g.upperNodeIdBound());
         zeta.allToSingletons();
-        Plm::movePhase(CsrGraph(g), zeta, 1.0, 8, nullptr);
+        Plm::movePhase(frozen, zeta, 1.0, PlmConfig{}.maxMoveIterations,
+                       nullptr);
 
+        // Best of the repetitions, one run of each path per round.
+        for (const int threads : {1, 4}) {
+            Parallel::setThreads(threads);
+            double best = 0.0;
+            for (int r = 0; r < repetitions; ++r) {
+                Timer timer;
+                const CsrCoarseningResult result =
+                    ParallelPartitionCoarsening(true).run(frozen, zeta);
+                const double seconds = timer.elapsed();
+                if (r == 0 || seconds < best) best = seconds;
+            }
+            std::printf("%-22s %-16s %8d %12.4f\n", spec.name.c_str(),
+                        "csr", threads, best);
+            std::fflush(stdout);
+        }
+        Parallel::setThreads(threadsBefore);
         for (bool parallel : {true, false}) {
             Timer timer;
             const CoarseningResult result =
                 ParallelPartitionCoarsening(parallel).run(g, zeta);
-            std::printf("%-22s %-12s %12.4f\n", spec.name.c_str(),
-                        parallel ? "parallel" : "sequential",
-                        timer.elapsed());
+            std::printf("%-22s %-16s %8d %12.4f\n", spec.name.c_str(),
+                        parallel ? "graph-parallel" : "graph-sequential",
+                        parallel ? threadsBefore : 1, timer.elapsed());
             std::fflush(stdout);
         }
     }

@@ -6,9 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include "coarsening/parallel_coarsening.hpp"
+#include "community/plm.hpp"
 #include "generators/rmat.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/graph_builder.hpp"
 #include "structures/partition.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 
 using namespace grapr;
@@ -86,7 +89,9 @@ static void BM_GraphBuilderAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuilderAssembly);
 
-static void BM_CoarseningParallel(benchmark::State& state) {
+/// Graph& path: per-thread hash maps (Arg 1) or one sequential map
+/// (Arg 0), used by EPP, the sequential Louvain and CluMatching.
+static void BM_CoarseningGraphHash(benchmark::State& state) {
     const Graph& g = testGraph();
     Random::setSeed(1002);
     Partition p(g.upperNodeIdBound());
@@ -103,4 +108,29 @@ static void BM_CoarseningParallel(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(g.numberOfEdges()));
 }
-BENCHMARK(BM_CoarseningParallel)->Arg(1)->Arg(0);
+BENCHMARK(BM_CoarseningGraphHash)->Arg(1)->Arg(0);
+
+/// The path PLM runs: CsrGraph to CsrGraph, on a PLM level-0 partition,
+/// at Arg threads.
+static void BM_CoarseningCsr(benchmark::State& state) {
+    const int restore = Parallel::maxThreads();
+    static const CsrGraph g(testGraph());
+    static const Partition levelZero = [] {
+        Parallel::setThreads(1);
+        Random::setSeed(1003);
+        Partition p(g.upperNodeIdBound());
+        p.allToSingletons();
+        Plm::movePhase(g, p, 1.0, PlmConfig{}.maxMoveIterations, nullptr);
+        return p;
+    }();
+    Parallel::setThreads(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        const CsrCoarseningResult result =
+            ParallelPartitionCoarsening(true).run(g, levelZero);
+        benchmark::DoNotOptimize(result.coarseGraph.numberOfEdges());
+    }
+    Parallel::setThreads(restore);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(g.numberOfEdges()));
+}
+BENCHMARK(BM_CoarseningCsr)->Arg(1)->Arg(4);

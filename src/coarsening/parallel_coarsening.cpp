@@ -1,7 +1,7 @@
 #include "coarsening/parallel_coarsening.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <unordered_map>
 
 #include <omp.h>
@@ -30,6 +30,55 @@ std::pair<std::vector<node>, count> compactMap(const GraphT& g,
     std::vector<node> fineToCoarse(g.upperNodeIdBound(), none);
     g.parallelForNodes([&](node v) { fineToCoarse[v] = remap[zeta[v]]; });
     return {std::move(fineToCoarse), coarseNodes};
+}
+
+/// Per-thread scratch of the CSR coarsening: the row accumulator and a
+/// bitset over the coarse id space that orders long rows.
+struct RowScratch {
+    explicit RowScratch(count coarseNodes)
+        : acc(coarseNodes), bits((coarseNodes + 63) / 64, 0) {}
+    SparseAccumulator acc;
+    std::vector<std::uint64_t> bits;
+};
+
+/// A run of consecutive coarse rows, in final order.
+struct CoarseRows {
+    std::vector<node> neighbors;
+    std::vector<edgeweight> weights;
+};
+
+/// Append the accumulated row's keys in ascending order, each with its
+/// sum. A row with at least one key per 16 bitset words is ordered by a
+/// scan of the bitset, a shorter one by sorting its keys in place.
+void appendInKeyOrder(RowScratch& scratch, CoarseRows& out) {
+    const SparseAccumulator& acc = scratch.acc;
+    const std::vector<index>& keys = acc.touched();
+    std::vector<std::uint64_t>& bits = scratch.bits;
+    if (keys.size() * 16 >= bits.size()) {
+        for (const index k : keys) {
+            bits[k >> 6] |= std::uint64_t{1} << (k & 63);
+        }
+        for (std::size_t w = 0; w < bits.size(); ++w) {
+            std::uint64_t word = bits[w];
+            if (word == 0) continue;
+            bits[w] = 0;
+            do {
+                const index k =
+                    w * 64 + static_cast<index>(__builtin_ctzll(word));
+                out.neighbors.push_back(static_cast<node>(k));
+                out.weights.push_back(acc[k]);
+                word &= word - 1;
+            } while (word != 0);
+        }
+        return;
+    }
+    const auto first = static_cast<std::ptrdiff_t>(out.neighbors.size());
+    for (const index k : keys) out.neighbors.push_back(static_cast<node>(k));
+    std::sort(out.neighbors.begin() + first, out.neighbors.end());
+    for (auto it = out.neighbors.begin() + first; it != out.neighbors.end();
+         ++it) {
+        out.weights.push_back(acc[*it]);
+    }
 }
 
 } // namespace
@@ -125,100 +174,114 @@ CsrCoarseningResult ParallelPartitionCoarsening::run(
     const CsrGraph& g, const Partition& zeta) const {
     auto [fineToCoarse, coarseNodes] = compactMap(g, zeta);
 
-    // Bucket the fine nodes by coarse id: counting sort with a prefix sum
-    // over the community sizes, then a parallel scatter. Buckets are
-    // sorted ascending afterwards so the aggregation order below — and
-    // with it the coarse graph — is independent of the thread count.
-    std::vector<count> rowStart(coarseNodes, 0);
-    g.parallelForNodes([&](node v) {
-#pragma omp atomic
-        ++rowStart[fineToCoarse[v]];
-    });
-    const count memberCount = Parallel::prefixSum(rowStart);
-    std::vector<node> members(memberCount);
+    // Bucket the fine nodes by coarse id: a stable counting sort. Sizes,
+    // an inclusive prefix sum, then a scatter that fills every bucket from
+    // its end while scanning the ids downwards, which leaves the members
+    // ascending and memberStart[c] at the start of bucket c.
+    std::vector<index> memberStart(coarseNodes + 1, 0);
+    g.forNodes([&](node v) { ++memberStart[fineToCoarse[v]]; });
+    for (count c = 1; c <= coarseNodes; ++c) {
+        memberStart[c] += memberStart[c - 1];
+    }
+    std::vector<node> members(memberStart[coarseNodes]);
+    for (node v = static_cast<node>(g.upperNodeIdBound()); v-- > 0;) {
+        if (g.hasNode(v)) members[--memberStart[fineToCoarse[v]]] = v;
+    }
+
+    // One contiguous run of coarse rows per thread, balanced by the fine
+    // entries the rows aggregate. A row holds at most one entry per fine
+    // entry and at most one per coarse node, which bounds the room each
+    // run reserves for its output.
+    const count threads =
+        parallel_ ? static_cast<count>(Parallel::maxThreads()) : 1;
+    const count parts = std::max<count>(1, std::min(threads, coarseNodes));
+    const index fineEntries = g.offsets().back();
+    std::vector<node> partStart(parts + 1, static_cast<node>(coarseNodes));
+    std::vector<index> partRoom(parts, 0);
+    partStart[0] = 0;
     {
-        std::vector<std::atomic<count>> cursor(coarseNodes);
+        count part = 0;
+        index work = 0;
         for (count c = 0; c < coarseNodes; ++c) {
-            cursor[c].store(rowStart[c], std::memory_order_relaxed);
+            while (part + 1 < parts &&
+                   work >= (part + 1) * fineEntries / parts) {
+                partStart[++part] = static_cast<node>(c);
+            }
+            index rowWork = 0;
+            for (index i = memberStart[c]; i < memberStart[c + 1]; ++i) {
+                rowWork += g.degree(members[i]);
+            }
+            partRoom[part] += std::min<index>(rowWork, coarseNodes);
+            work += rowWork;
         }
-        g.parallelForNodes([&](node v) {
-            const count slot = cursor[fineToCoarse[v]].fetch_add(
-                1, std::memory_order_relaxed);
-            members[slot] = v;
-        });
     }
-    auto bucketEnd = [&](count c) {
-        return c + 1 < coarseNodes ? rowStart[c + 1] : memberCount;
-    };
-    const auto scn = static_cast<std::int64_t>(coarseNodes);
-#pragma omp parallel for default(none)                                       \
-    shared(members, rowStart, bucketEnd, scn) schedule(guided) if (parallel_)
-    for (std::int64_t c = 0; c < scn; ++c) {
-        const auto cc = static_cast<count>(c);
-        std::sort(members.begin() + static_cast<std::ptrdiff_t>(rowStart[cc]),
-                  members.begin() + static_cast<std::ptrdiff_t>(bucketEnd(cc)));
-    }
+    index totalRoom = 0;
+    for (const index room : partRoom) totalRoom += room;
 
-    // One aggregation per coarse node: scan the members' fine rows into a
-    // scratch accumulator keyed by coarse neighbor id. Intra-community
-    // edges land on the coarse self-loop; the `v < u` guard counts each
-    // one from a single endpoint (fine self-loops pass, stored once).
-    ScratchPool scratch(coarseNodes);
-    auto aggregate = [&](count c, SparseAccumulator& acc) {
-        acc.clear();
-        const count end = bucketEnd(c);
-        for (count i = rowStart[c]; i < end; ++i) {
-            const node u = members[i];
-            g.forNeighborsOf(u, [&](node v, edgeweight w) {
-                const node cv = fineToCoarse[v];
-                if (cv == c && v < u) return;
-                acc.add(cv, w);
-            });
+    // Each row is aggregated once, in a scratch accumulator keyed by
+    // coarse neighbor id: members ascending, each fine row in CSR order.
+    // Intra-community edges land on the coarse self-loop; the `v < u`
+    // guard counts each one from a single endpoint (fine self-loops pass,
+    // stored once). The row's keys are then put in ascending order at
+    // once and appended with their sums: a comparison sort for a short
+    // row, a scan of a bitset over the coarse id space for a row that is
+    // long relative to that space. Runs are appended in row order, so the
+    // coarse graph does not depend on where the runs were cut.
+    ThreadLocalPool<RowScratch> scratch(coarseNodes);
+    std::vector<CoarseRows> runs(parts);
+    std::vector<index> offsets(coarseNodes + 1, 0);
+    Parallel::TsanJoinFence fence;
+    const auto sparts = static_cast<std::int64_t>(parts);
+#pragma omp parallel for default(none)                                       \
+    shared(g, fineToCoarse, memberStart, members, partStart, partRoom,       \
+               totalRoom, scratch, runs, offsets, fence, sparts)             \
+    schedule(static, 1) if (parallel_)
+    for (std::int64_t t = 0; t < sparts; ++t) {
+        const auto part = static_cast<std::size_t>(t);
+        RowScratch& local = scratch.local();
+        SparseAccumulator& acc = local.acc;
+        // Run 0's arrays become the coarse graph's: they reserve room for
+        // every run, so appending the others never reallocates. Reserved
+        // room beyond the written entries is never touched.
+        CoarseRows out;
+        const index room = part == 0 ? totalRoom : partRoom[part];
+        out.neighbors.reserve(room);
+        out.weights.reserve(room);
+        for (node c = partStart[part]; c < partStart[part + 1]; ++c) {
+            acc.clear();
+            for (index i = memberStart[c]; i < memberStart[c + 1]; ++i) {
+                const node u = members[i];
+                g.forNeighborsOf(u, [&](node v, edgeweight w) {
+                    const node cv = fineToCoarse[v];
+                    if (cv == c && v < u) return;
+                    acc.add(cv, w);
+                });
+            }
+            // grapr:analyze-allow(shared-write-safety): c ranges over this
+            // iteration's run [partStart[part], partStart[part + 1]) only,
+            // a slice the derived-index rule cannot express.
+            offsets[c] = acc.touched().size();
+            appendInKeyOrder(local, out);
         }
-    };
-
-    // Pass 1: coarse row lengths -> prefix sum -> CSR offsets.
-    std::vector<count> rowLength(coarseNodes, 0);
-#pragma omp parallel for default(none)                                       \
-    shared(scratch, aggregate, rowLength, scn) schedule(guided)              \
-        if (parallel_)
-    for (std::int64_t c = 0; c < scn; ++c) {
-        SparseAccumulator& acc = scratch.local();
-        aggregate(static_cast<count>(c), acc);
-        rowLength[static_cast<count>(c)] =
-            static_cast<count>(acc.touched().size());
+        runs[part] = std::move(out);
+        fence.arrive();
     }
-    const count entries = Parallel::prefixSum(rowLength);
-    std::vector<index> offsets(coarseNodes + 1);
-    for (count c = 0; c < coarseNodes; ++c) {
-        offsets[c] = static_cast<index>(rowLength[c]);
-    }
-    offsets[coarseNodes] = static_cast<index>(entries);
+    fence.join();
 
-    // Pass 2: re-aggregate and write each row, sorted by coarse neighbor
-    // id, directly into its CSR slice.
-    std::vector<node> neighbors(entries);
-    std::vector<edgeweight> weights(entries);
-#pragma omp parallel for default(none)                                       \
-    shared(scratch, aggregate, offsets, neighbors, weights, scn)             \
-    schedule(guided) if (parallel_)
-    for (std::int64_t c = 0; c < scn; ++c) {
-        const auto cc = static_cast<count>(c);
-        SparseAccumulator& acc = scratch.local();
-        aggregate(cc, acc);
-        std::vector<index> row(acc.touched());
-        std::sort(row.begin(), row.end());
-        index slot = offsets[cc];
-        for (index key : row) {
-            neighbors[slot] = static_cast<node>(key);
-            weights[slot] = acc[key];
-            ++slot;
-        }
+    Parallel::prefixSum(offsets);
+    CoarseRows& rows = runs[0];
+    for (std::size_t part = 1; part < parts; ++part) {
+        CoarseRows& run = runs[part];
+        rows.neighbors.insert(rows.neighbors.end(), run.neighbors.begin(),
+                              run.neighbors.end());
+        rows.weights.insert(rows.weights.end(), run.weights.begin(),
+                            run.weights.end());
+        run = CoarseRows{};
     }
 
     CsrCoarseningResult result;
-    result.coarseGraph = CsrGraph(std::move(offsets), std::move(neighbors),
-                                  std::move(weights), /*weighted=*/true);
+    result.coarseGraph = CsrGraph(std::move(offsets), std::move(rows.neighbors),
+                                  std::move(rows.weights), /*weighted=*/true);
     result.fineToCoarse = std::move(fineToCoarse);
     return result;
 }

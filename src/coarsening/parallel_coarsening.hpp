@@ -4,12 +4,16 @@
 // carries the summed weight of inter-community edges, a self-loop the
 // summed weight of intra-community edges.
 //
-// Two strategies, selectable for the ablation bench:
-//  * Sequential: one hash-aggregation sweep over the edges. The "major
-//    sequential bottleneck" of early PLM versions.
-//  * Parallel (the paper's scheme): each thread scans a slice of the nodes
-//    and aggregates its edges into a thread-private partial coarse graph;
-//    the partial adjacencies are then merged per coarse node in parallel.
+// Two layouts, two schemes:
+//  * CsrGraph -> CsrGraph, the path PLM and its relatives run: every
+//    coarse row is gathered from its members' fine rows and aggregated
+//    once, in parallel over coarse nodes (see run(const CsrGraph&)).
+//  * Graph -> Graph (EPP's consensus graph, the sequential Louvain,
+//    CluMatching), selectable for the ablation bench. Sequential: one
+//    hash-aggregation sweep over the edges, the "major sequential
+//    bottleneck" of early PLM versions. Parallel (the paper's scheme):
+//    each thread aggregates a slice of the nodes into a thread-private
+//    partial coarse graph; the partials are then merged in parallel.
 
 #include <utility>
 #include <vector>
@@ -27,9 +31,9 @@ struct CoarseningResult {
 };
 
 /// Result of coarsening a frozen graph: the coarse graph is built directly
-/// in CSR form (prefix sums over per-coarse-node degrees, no intermediate
-/// mutable Graph), so a multi-level algorithm stays in the frozen layout
-/// across all levels and converts back only at its API boundary.
+/// in CSR form (no intermediate mutable Graph), so a multi-level algorithm
+/// stays in the frozen layout across all levels and converts back only at
+/// its API boundary.
 struct CsrCoarseningResult {
     CsrGraph coarseGraph;
     /// π: fine node id -> coarse node id.
@@ -47,13 +51,17 @@ public:
     CoarseningResult run(const Graph& g, const Partition& zeta) const;
 
     /// CSR fast path: coarsen a frozen graph into a frozen (weighted)
-    /// coarse graph. Fine nodes are bucketed by coarse id with a counting
-    /// sort (prefix sums), then one thread per coarse node aggregates its
-    /// members' neighborhoods in a scratch accumulator; coarse adjacency
-    /// rows are written straight into the CSR arrays through a second
-    /// prefix sum over the row lengths. Rows come out sorted by neighbor
-    /// id, so the coarse graph is canonical and deterministic for a fixed
-    /// partition regardless of thread count.
+    /// coarse graph in one pass over the fine rows. Fine nodes are bucketed
+    /// by coarse id with a stable counting sort, so each bucket lists its
+    /// members ascending. The coarse rows are cut into one contiguous run
+    /// per thread, balanced by fine entries; a thread aggregates each row
+    /// of its run once in a scratch accumulator (members ascending, each
+    /// fine row in CSR order), orders the row's keys at once (a sort for a
+    /// short row, a bitset scan for a long one) and appends keys and sums
+    /// to its run. The runs are concatenated in row order. Every row's
+    /// content depends on the partition alone, never on where the runs
+    /// were cut, so the coarse graph is the same bit for bit at any thread
+    /// count and with `parallel` off.
     CsrCoarseningResult run(const CsrGraph& g, const Partition& zeta) const;
 
 private:

@@ -861,7 +861,8 @@ count Plm::movePhaseCachedMaps(const CsrGraph& g, Partition& zeta,
     return movePhaseCachedMapsImpl(g, zeta, gamma, maxIterations);
 }
 
-Partition Plm::runRecursive(const CsrGraph& g, count level) {
+Partition Plm::runRecursive(const CsrGraph& g, count level,
+                            CsrGraph* release) {
     Partition zeta(g.upperNodeIdBound());
     zeta.allToSingletons();
 
@@ -891,8 +892,12 @@ Partition Plm::runRecursive(const CsrGraph& g, count level) {
     // reproduce the same graph forever).
     if (coarse.coarseGraph.numberOfNodes() >= g.numberOfNodes()) return zeta;
 
+    // Without refinement nothing below reads g: free it before the
+    // coarser levels allocate theirs.
+    if (release != nullptr && !config_.refine) *release = CsrGraph();
+
     const Partition coarseSolution =
-        runRecursive(coarse.coarseGraph, level + 1);
+        runRecursive(coarse.coarseGraph, level + 1, &coarse.coarseGraph);
     zeta = ClusteringProjector::projectBack(coarseSolution,
                                             coarse.fineToCoarse);
 
@@ -917,14 +922,15 @@ Partition Plm::run(const Graph& g) {
 Partition Plm::run(const CsrGraph& g) {
     levels_.clear();
     Partition zeta;
-    const VertexFollowingReduction reduction =
+    VertexFollowingReduction reduction =
         config_.vertexFollowing ? VertexFollowing::reduce(g)
                                 : VertexFollowingReduction{};
     if (reduction.collapsed > 0) {
         // Collapse degree-1 chains/pendants onto their anchors, detect on
         // the reduced graph, and prolong the labels back — every follower
         // lands exactly in its anchor's community by construction.
-        const Partition reducedSolution = runRecursive(reduction.reduced, 0);
+        const Partition reducedSolution =
+            runRecursive(reduction.reduced, 0, &reduction.reduced);
         zeta = ClusteringProjector::projectBack(reducedSolution,
                                                 reduction.fineToCoarse);
         // The reduction is one more coarsening level, so prolongation
@@ -936,7 +942,7 @@ Partition Plm::run(const CsrGraph& g) {
         zeta.setUpperBound(static_cast<node>(g.upperNodeIdBound()));
         moveNodes(g, zeta, config_, nullptr);
     } else {
-        zeta = runRecursive(g, 0);
+        zeta = runRecursive(g, 0, nullptr);
     }
     zeta.setUpperBound(static_cast<node>(g.upperNodeIdBound()));
     zeta.compact();

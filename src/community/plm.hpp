@@ -190,8 +190,13 @@ protected:
 
 private:
     /// One level of Algorithm 3. The coarse graphs are built CSR-to-CSR,
-    /// so the input is frozen exactly once per run.
-    Partition runRecursive(const CsrGraph& g, count level);
+    /// so the input is frozen exactly once per run. `release` is g itself
+    /// when nothing after this call reads g (a coarse level, or the
+    /// vertex-following reduction): PLM then frees g as soon as its coarse
+    /// graph exists, so the recursion holds two levels' graphs at a time
+    /// instead of every level's. PLMR keeps g for its refinement sweep.
+    Partition runRecursive(const CsrGraph& g, count level,
+                           CsrGraph* release);
 };
 
 } // namespace grapr

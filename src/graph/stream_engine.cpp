@@ -336,7 +336,79 @@ void requireSortedRows(const CsrGraph& g) {
     }
     require(!unsorted.load(),
             "StreamingGraph: initial snapshot rows must be sorted "
-            "strictly ascending (call Graph::sortNeighborLists first)");
+            "strictly ascending, without duplicate entries (a repeated "
+            "edge); build the engine from a Graph to collapse them");
+}
+
+/// The initial snapshot of a Graph: every row sorted ascending with its
+/// duplicate entries (a repeated edge) collapsed to the first. The sort is
+/// stable, so the survivor is the first instance in row order; addEdge
+/// appends each instance to both endpoint rows at once, so both rows keep
+/// the same weight. Returned through the raw-array constructor, so the
+/// snapshot's view stamp is disengaged.
+CsrGraph sortedUniqueRows(const CsrGraph& frozen, bool weighted) {
+    const std::vector<index>& offsets = frozen.offsets();
+    std::vector<node> neighbors = frozen.neighborArray();
+    std::vector<edgeweight> weights = frozen.weightArray();
+    const count bound = frozen.upperNodeIdBound();
+    // Entries each row keeps, then (prefix-summed in place) packed offsets.
+    std::vector<count> kept(bound + 1, 0);
+    const auto sbound = static_cast<std::int64_t>(bound);
+#pragma omp parallel for default(none)                                       \
+    shared(offsets, neighbors, weights, kept, weighted, sbound)              \
+    schedule(guided)
+    for (std::int64_t sv = 0; sv < sbound; ++sv) {
+        const auto v = static_cast<std::size_t>(sv);
+        const index lo = offsets[v];
+        const index hi = offsets[v + 1];
+        std::vector<std::pair<node, edgeweight>> row;
+        row.reserve(hi - lo);
+        for (index i = lo; i < hi; ++i) {
+            row.emplace_back(neighbors[i], weighted ? weights[i] : 1.0);
+        }
+        const auto sameNeighbor = [](const auto& a, const auto& b) {
+            return a.first == b.first;
+        };
+        std::stable_sort(row.begin(), row.end(),
+                         [](const auto& a, const auto& b) {
+                             return a.first < b.first;
+                         });
+        row.erase(std::unique(row.begin(), row.end(), sameNeighbor),
+                  row.end());
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            // grapr:analyze-allow(shared-write-safety): lo + i stays inside
+            // row v's slice [lo, hi), owned by this iteration — a slice
+            // offset is beyond the derived-index rule.
+            neighbors[lo + i] = row[i].first;
+            // grapr:analyze-allow(shared-write-safety): the same slice.
+            if (weighted) weights[lo + i] = row[i].second;
+        }
+        kept[v] = row.size();
+    }
+    const count total = Parallel::prefixSum(kept);
+    if (total == neighbors.size()) {
+        return CsrGraph(offsets, std::move(neighbors), std::move(weights),
+                        weighted);
+    }
+    std::vector<node> packedNeighbors(total);
+    std::vector<edgeweight> packedWeights(weighted ? total : 0);
+#pragma omp parallel for default(none)                                       \
+    shared(offsets, neighbors, weights, kept, packedNeighbors,               \
+               packedWeights, weighted, sbound) schedule(guided)
+    for (std::int64_t sv = 0; sv < sbound; ++sv) {
+        const auto v = static_cast<std::size_t>(sv);
+        const index to = kept[v];
+        for (index i = 0; i < kept[v + 1] - to; ++i) {
+            // grapr:analyze-allow(shared-write-safety): [to, kept[v + 1])
+            // is row v's slice of the packed arrays, written by this
+            // iteration only.
+            packedNeighbors[to + i] = neighbors[offsets[v] + i];
+            // grapr:analyze-allow(shared-write-safety): the same slice.
+            if (weighted) packedWeights[to + i] = weights[offsets[v] + i];
+        }
+    }
+    return CsrGraph(std::move(kept), std::move(packedNeighbors),
+                    std::move(packedWeights), weighted);
 }
 
 // --- durable-directory layout ---------------------------------------------
@@ -454,14 +526,11 @@ std::optional<edgeweight> csrEdgeWeight(const CsrGraph& g, node u, node v) {
 
 StreamingGraph::StreamingGraph(const Graph& initial)
     : weighted_(initial.isWeighted()) {
-    // Copy first: sorting is a mutation and must not invalidate views the
-    // caller may have frozen from `initial`.
-    Graph sorted = initial;
-    sorted.sortNeighborLists();
-    const CsrGraph frozen(sorted);
+    // Sorting works on a frozen copy: `initial` is not mutated, so views
+    // the caller froze from it stay valid.
     auto snap = std::make_shared<StreamSnapshot>();
     snap->generation = 0;
-    snap->graph = rewrapDisengaged(frozen, weighted_);
+    snap->graph = sortedUniqueRows(CsrGraph(initial), weighted_);
     head_ = std::move(snap);
 }
 

@@ -121,12 +121,15 @@ class StreamingGraph {
 public:
     /// Freeze `initial` as generation 0. The adjacency is copied and
     /// sorted per row (the engine keeps every generation's rows sorted so
-    /// edge lookups are binary searches); holes in the node-id space are
-    /// preserved as empty rows.
+    /// edge lookups are binary searches), and duplicate entries of a
+    /// repeated edge collapse to the first instance added; holes in the
+    /// node-id space are preserved as empty rows.
     explicit StreamingGraph(const Graph& initial);
 
     /// Start from an already-frozen snapshot whose rows must be sorted
-    /// ascending (e.g. from io::parallel ingestion, which sorts rows).
+    /// strictly ascending, without duplicate entries (e.g. from
+    /// io::parallel ingestion of a duplicate-free edge list); throws
+    /// otherwise.
     explicit StreamingGraph(CsrGraph initial);
 
     /// Recovery constructor: rebuild the engine from durable directory

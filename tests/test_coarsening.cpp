@@ -1,17 +1,30 @@
 // Coarsening and prolongation: weight conservation, structural shape,
-// parallel == sequential, projection identities.
+// parallel == sequential, projection identities, and the CSR path against
+// a sequential oracle, bit for bit at every thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "coarsening/parallel_coarsening.hpp"
 #include "coarsening/projector.hpp"
+#include "community/plm.hpp"
 #include "generators/erdos_renyi.hpp"
 #include "generators/planted_partition.hpp"
+#include "generators/rmat.hpp"
 #include "generators/simple_graphs.hpp"
+#include "graph/csr_graph.hpp"
 #include "quality/modularity.hpp"
 #include "support/random.hpp"
+#include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::SingleThreadScope;
+using grapr::testing::ThreadCountScope;
 
 namespace {
 
@@ -209,4 +222,215 @@ TEST(Projector, ModularityInvariantUnderProjection) {
         Modularity().getQuality(coarseSolution, result.coarseGraph);
     const double fineQ = Modularity().getQuality(fineSolution, g);
     EXPECT_NEAR(coarseQ, fineQ, 1e-9);
+}
+
+// --- CSR coarsening against a sequential oracle ------------------------------
+
+namespace {
+
+std::uint64_t bits(double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/// The coarse graph as plain arrays, plus the figures the CsrGraph
+/// constructor derives from them.
+struct OracleCoarsening {
+    std::vector<grapr::index> offsets;
+    std::vector<node> neighbors;
+    std::vector<edgeweight> weights;
+    std::vector<node> fineToCoarse;
+    count selfLoops = 0;
+    count edges = 0;
+    edgeweight totalWeight = 0.0;
+};
+
+/// Coarse graph of g under zeta, built one row at a time in the order the
+/// CSR coarsening promises: coarse ids rank the used community ids
+/// ascending; row c sums its members' rows, members ascending by fine id
+/// and each row in CSR order; an intra-community entry counts only from
+/// its endpoint u with v >= u; keys ascend within the row.
+OracleCoarsening oracleCoarsening(const CsrGraph& g, const Partition& zeta) {
+    OracleCoarsening o;
+    std::map<node, node> rank;
+    g.forNodes([&](node v) { rank[zeta[v]] = 0; });
+    node next = 0;
+    for (auto& [community, coarse] : rank) coarse = next++;
+    o.fineToCoarse.assign(g.upperNodeIdBound(), none);
+    std::vector<std::vector<node>> members(next);
+    g.forNodes([&](node v) {
+        o.fineToCoarse[v] = rank[zeta[v]];
+        members[o.fineToCoarse[v]].push_back(v);
+    });
+
+    o.offsets.push_back(0);
+    for (node c = 0; c < next; ++c) {
+        std::map<node, edgeweight> row;
+        for (const node u : members[c]) {
+            g.forNeighborsOf(u, [&](node v, edgeweight w) {
+                const node cv = o.fineToCoarse[v];
+                if (cv == c && v < u) return;
+                row[cv] += w;
+            });
+        }
+        for (const auto& [key, w] : row) {
+            o.neighbors.push_back(key);
+            o.weights.push_back(w);
+        }
+        o.offsets.push_back(o.neighbors.size());
+    }
+
+    // The constructor's one-thread derivation: long-double sums in row
+    // order, non-loop entries seen from both ends.
+    long double weightTwice = 0.0L;
+    long double loopWeight = 0.0L;
+    for (node c = 0; c < next; ++c) {
+        for (grapr::index i = o.offsets[c]; i < o.offsets[c + 1]; ++i) {
+            if (o.neighbors[i] == c) {
+                ++o.selfLoops;
+                loopWeight += o.weights[i];
+            } else {
+                weightTwice += o.weights[i];
+            }
+        }
+    }
+    o.edges = (o.neighbors.size() - o.selfLoops) / 2 + o.selfLoops;
+    o.totalWeight = static_cast<edgeweight>(weightTwice / 2.0L + loopWeight);
+    return o;
+}
+
+/// Index of the first entry whose bits differ, or the size when equal.
+std::size_t firstBitDifference(const std::vector<edgeweight>& a,
+                               const std::vector<edgeweight>& b) {
+    const auto [ia, ib] = std::mismatch(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](double x, double y) { return bits(x) == bits(y); });
+    return static_cast<std::size_t>(ia - a.begin());
+}
+
+void expectMatchesOracle(const CsrCoarseningResult& got,
+                         const OracleCoarsening& want,
+                         const std::vector<edgeweight>& wantVolumes,
+                         const std::string& where) {
+    SCOPED_TRACE(where);
+    const CsrGraph& coarse = got.coarseGraph;
+    EXPECT_EQ(got.fineToCoarse, want.fineToCoarse);
+    ASSERT_EQ(coarse.offsets(), want.offsets);
+    EXPECT_EQ(coarse.neighborArray(), want.neighbors);
+    ASSERT_EQ(coarse.weightArray().size(), want.weights.size());
+    EXPECT_EQ(firstBitDifference(coarse.weightArray(), want.weights),
+              want.weights.size());
+    EXPECT_TRUE(coarse.isWeighted());
+    EXPECT_EQ(coarse.numberOfSelfLoops(), want.selfLoops);
+    EXPECT_EQ(coarse.numberOfEdges(), want.edges);
+    EXPECT_EQ(bits(coarse.totalEdgeWeight()), bits(want.totalWeight));
+    std::vector<edgeweight> volumes(coarse.upperNodeIdBound());
+    for (node c = 0; c < volumes.size(); ++c) volumes[c] = coarse.volume(c);
+    EXPECT_EQ(firstBitDifference(volumes, wantVolumes), wantVolumes.size());
+}
+
+/// Every CSR coarsening configuration (1, 2 and 4 threads, parallel on
+/// and off) against the oracle.
+void checkAgainstOracle(const CsrGraph& g, const Partition& zeta,
+                        const std::string& instance) {
+    const OracleCoarsening want = oracleCoarsening(g, zeta);
+    // Volumes come from the rows; a one-thread freeze of the oracle's
+    // arrays fixes their bits.
+    std::vector<edgeweight> wantVolumes;
+    {
+        SingleThreadScope once;
+        const CsrGraph reference(want.offsets, want.neighbors, want.weights,
+                                 /*weighted=*/true);
+        for (node c = 0; c < reference.upperNodeIdBound(); ++c) {
+            wantVolumes.push_back(reference.volume(c));
+        }
+    }
+    for (const int threads : {1, 2, 4}) {
+        ThreadCountScope scope(threads);
+        for (const bool parallel : {true, false}) {
+            const CsrCoarseningResult got =
+                ParallelPartitionCoarsening(parallel).run(g, zeta);
+            expectMatchesOracle(got, want, wantVolumes,
+                                instance + " threads=" +
+                                    std::to_string(threads) + " parallel=" +
+                                    std::to_string(parallel));
+        }
+    }
+}
+
+/// A planted-partition graph with self-loops and isolated nodes; with
+/// `realWeights`, every edge weighs 0.1 + U[0,1).
+Graph oracleInstance(bool realWeights) {
+    Random::setSeed(90);
+    const Graph base = PlantedPartitionGenerator(700, 14, 0.2, 0.01).generate();
+    Graph g(base.upperNodeIdBound() + 5, true); // five isolated nodes
+    base.forEdges([&](node u, node v, edgeweight) {
+        g.addEdge(u, v, realWeights ? 0.1 + Random::real() : 1.0);
+    });
+    for (node v = 0; v < base.upperNodeIdBound(); v += 9) {
+        g.addEdge(v, v, realWeights ? 0.1 + Random::real() : 2.0);
+    }
+    return g;
+}
+
+/// Random labels drawn from a sparse id range: unused ids and an upper
+/// bound far above the label count.
+Partition scatteredLabels(const Graph& g, count labels) {
+    Partition p(g.upperNodeIdBound());
+    g.forNodes([&](node v) {
+        p.set(v, static_cast<node>(3 * Random::integer(labels) + 5));
+    });
+    p.setUpperBound(static_cast<node>(3 * labels + 11));
+    return p;
+}
+
+} // namespace
+
+TEST(CsrCoarseningOracle, IntegerWeights) {
+    const Graph g = oracleInstance(/*realWeights=*/false);
+    Random::setSeed(91);
+    checkAgainstOracle(CsrGraph(g), scatteredLabels(g, 60), "integer");
+}
+
+TEST(CsrCoarseningOracle, RealWeightsOnFrozenGraphWithHole) {
+    Graph g = oracleInstance(/*realWeights=*/true);
+    g.removeNode(17);
+    g.removeNode(400);
+    const CsrGraph csr(g);
+    ASSERT_FALSE(csr.hasNode(17));
+    Random::setSeed(92);
+    const Partition zeta = scatteredLabels(g, 25);
+    checkAgainstOracle(csr, zeta, "real, hole");
+    const CsrCoarseningResult got =
+        ParallelPartitionCoarsening().run(csr, zeta);
+    EXPECT_EQ(got.fineToCoarse[17], none);
+}
+
+TEST(CsrCoarseningOracle, SingletonsAndAllInOne) {
+    const Graph g = oracleInstance(/*realWeights=*/true);
+    const CsrGraph csr(g);
+    Partition singletons(g.upperNodeIdBound());
+    singletons.allToSingletons();
+    checkAgainstOracle(csr, singletons, "singletons");
+    Partition one(g.upperNodeIdBound());
+    one.allToOne();
+    checkAgainstOracle(csr, one, "all in one");
+}
+
+TEST(CsrCoarseningOracle, PlmLevelZeroOnRmat) {
+    CsrGraph csr;
+    Partition zeta;
+    {
+        // The input is built on one thread: the thread-count matrix below
+        // is about the coarsening, and the generator is slow under TSan
+        // with several threads.
+        SingleThreadScope once;
+        Random::setSeed(93);
+        csr = CsrGraph(RmatGenerator(13, 8).generate());
+        zeta = Partition(csr.upperNodeIdBound());
+        zeta.allToSingletons();
+        ASSERT_GT(Plm::movePhase(csr, zeta, 1.0, 64, nullptr), 0u);
+    }
+    checkAgainstOracle(csr, zeta, "rmat13 level 0");
 }

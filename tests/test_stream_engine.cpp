@@ -180,6 +180,40 @@ TEST(StreamEngine, FreezeFromGraphMatchesDirectFreeze) {
     expectCsrIdentical(engine.pin()->graph, direct);
 }
 
+TEST(StreamEngine, InitialSnapshotCollapsesRepeatedEdge) {
+    // An edge list with a repeated line gives the Graph two instances of
+    // {0,1}; the snapshot keeps one, with the first instance's weight.
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        grapr::testing::ThreadCountScope scope(threads);
+        Graph g(4, true);
+        g.addEdge(0, 1, 2.5);
+        g.addEdge(1, 2, 1.0);
+        g.addEdge(1, 0, 7.0);
+        g.addEdge(3, 3, 4.0);
+        StreamingGraph engine(g);
+        const auto initial = engine.pin();
+        const CsrGraph& snap = initial->graph;
+        EXPECT_EQ(snap.degree(0), 1u);
+        EXPECT_EQ(snap.degree(1), 2u);
+        EXPECT_EQ(snap.numberOfEdges(), 3u);
+        EXPECT_EQ(snap.totalEdgeWeight(), 7.5);
+        EXPECT_EQ(csrEdgeWeight(snap, 0, 1), std::optional<edgeweight>(2.5));
+        EXPECT_EQ(csrEdgeWeight(snap, 1, 0), std::optional<edgeweight>(2.5));
+
+        EdgeBatch remove;
+        remove.remove(0, 1);
+        engine.apply(remove);
+        const auto removed = engine.pin();
+        const CsrGraph& after = removed->graph;
+        EXPECT_EQ(after.numberOfEdges(), 2u);
+        EXPECT_FALSE(csrEdgeWeight(after, 0, 1).has_value());
+        EXPECT_FALSE(csrEdgeWeight(after, 1, 0).has_value());
+        EXPECT_THROW(engine.apply(remove), std::runtime_error);
+        EXPECT_EQ(engine.generation(), 1u);
+    }
+}
+
 TEST(StreamEngine, CsrEdgeWeightBinarySearch) {
     Graph g(6, true);
     g.addEdge(0, 1, 2.5);
