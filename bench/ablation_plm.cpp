@@ -1,8 +1,7 @@
 // Ablation (§III-B implementation notes) — the PLM engineering choices:
-//  * parallel coarsening vs the sequential hash aggregation it replaced
-//    ("a major sequential bottleneck"), and the coarsening phase alone:
-//    the CSR path PLM runs at one and four threads, beside the Graph&
-//    hash-map path,
+//  * PLM with its coarsening on all threads and on one ("a major
+//    sequential bottleneck" of early PLM versions), and the coarsening
+//    phase alone at one and four threads,
 //  * the resolution parameter gamma's effect on community count, the
 //    paper's remedy for the resolution limit.
 //
@@ -59,9 +58,8 @@ int main() {
         }
     }
 
-    // The coarsening phase alone, on a PLM level-0 partition: the CSR path
-    // PLM runs, at one and four threads, and the Graph& hash-map path
-    // (EPP, the sequential Louvain) with per-thread maps or one map.
+    // The coarsening phase alone, on a PLM level-0 partition, at one and
+    // four threads: the one coarsening every multilevel algorithm runs.
     std::printf("--- raw coarsening phase only (PLM level-0 partition) ---\n");
     std::printf("%-22s %-16s %8s %12s\n", "network", "path", "threads",
                 "time[s]");
@@ -71,15 +69,14 @@ int main() {
             subset.end()) {
             continue;
         }
-        const Graph g = loadReplica(spec);
-        const CsrGraph frozen(g);
+        const CsrGraph frozen(loadReplica(spec));
         Random::setSeed(61);
-        Partition zeta(g.upperNodeIdBound());
+        Partition zeta(frozen.upperNodeIdBound());
         zeta.allToSingletons();
         Plm::movePhase(frozen, zeta, 1.0, PlmConfig{}.maxMoveIterations,
                        nullptr);
 
-        // Best of the repetitions, one run of each path per round.
+        // Best of the repetitions.
         for (const int threads : {1, 4}) {
             Parallel::setThreads(threads);
             double best = 0.0;
@@ -95,15 +92,6 @@ int main() {
             std::fflush(stdout);
         }
         Parallel::setThreads(threadsBefore);
-        for (bool parallel : {true, false}) {
-            Timer timer;
-            const CoarseningResult result =
-                ParallelPartitionCoarsening(parallel).run(g, zeta);
-            std::printf("%-22s %-16s %8d %12.4f\n", spec.name.c_str(),
-                        parallel ? "graph-parallel" : "graph-sequential",
-                        parallel ? threadsBefore : 1, timer.elapsed());
-            std::fflush(stdout);
-        }
     }
 
     std::printf("--- neighbor-community weight strategy (full PLM run) ---\n");

@@ -50,7 +50,8 @@ struct RunResult {
     count communities = 0;    ///< from the last repetition
 };
 
-/// Run `detector` `repetitions` times on g; median time, mean modularity.
+/// Freeze g once, then run `detector` `repetitions` times on the frozen
+/// graph; median time, mean modularity. The freeze is not timed.
 RunResult measureDetector(CommunityDetector& detector, const Graph& g,
                           int repetitions);
 

@@ -27,7 +27,7 @@ int main() {
     for (const auto& candidate : suite) {
         if (candidate.name == "PGPgiantcompo") spec = &candidate;
     }
-    const Graph g = loadReplica(*spec);
+    const CsrGraph g(loadReplica(*spec));
     std::printf("# instance: %s  n=%llu  m=%llu\n", spec->name.c_str(),
                 static_cast<unsigned long long>(g.numberOfNodes()),
                 static_cast<unsigned long long>(g.numberOfEdges()));
@@ -41,7 +41,7 @@ int main() {
         Partition zeta = detector->run(g);
         zeta.compact();
 
-        const CoarseningResult coarse =
+        const CsrCoarseningResult coarse =
             ParallelPartitionCoarsening().run(g, zeta);
         const CommunitySizeStats stats = communitySizeStats(zeta);
         const double q = Modularity().getQuality(zeta, g);

@@ -89,27 +89,6 @@ static void BM_GraphBuilderAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuilderAssembly);
 
-/// Graph& path: per-thread hash maps (Arg 1) or one sequential map
-/// (Arg 0), used by EPP, the sequential Louvain and CluMatching.
-static void BM_CoarseningGraphHash(benchmark::State& state) {
-    const Graph& g = testGraph();
-    Random::setSeed(1002);
-    Partition p(g.upperNodeIdBound());
-    const count k = g.numberOfNodes() / 50;
-    for (node v = 0; v < p.numberOfElements(); ++v) {
-        p.set(v, static_cast<node>(Random::integer(k)));
-    }
-    p.setUpperBound(static_cast<node>(k));
-    for (auto _ : state) {
-        const CoarseningResult result =
-            ParallelPartitionCoarsening(state.range(0) != 0).run(g, p);
-        benchmark::DoNotOptimize(result.coarseGraph.numberOfEdges());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(g.numberOfEdges()));
-}
-BENCHMARK(BM_CoarseningGraphHash)->Arg(1)->Arg(0);
-
 /// The path PLM runs: CsrGraph to CsrGraph, on a PLM level-0 partition,
 /// at Arg threads.
 static void BM_CoarseningCsr(benchmark::State& state) {

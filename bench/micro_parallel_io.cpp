@@ -123,7 +123,7 @@ CsrGraph legacyLoad(const std::string& path) {
     const count n = haveDeclaredN ? declaredN : original.size();
     GraphBuilder builder(n, false);
     for (const auto& e : edges) builder.addEdge(e.u, e.v, 1.0);
-    return CsrGraph(builder.build(false, false));
+    return CsrGraph(builder.build(/*dedup=*/false));
 }
 
 // -------------------------------------------------------------------------

@@ -67,7 +67,8 @@ int main() {
                     (cut.intraWeight + cut.interWeight));
 
     std::printf("\n=== 5. export the community graph ===\n");
-    const CoarseningResult coarse = ParallelPartitionCoarsening().run(g, best);
+    const CsrCoarseningResult coarse =
+        ParallelPartitionCoarsening().run(CsrGraph(g), best);
     io::writeCommunityGraphDot(coarse.coarseGraph, best.subsetSizes(),
                                "social_communities.dot");
     std::printf("community graph (%llu nodes) -> social_communities.dot\n",

@@ -18,7 +18,7 @@ DetectorMaker rgMaker(double gamma) {
 Cggc::Cggc(count ensembleSize, double gamma)
     : ensembleSize_(ensembleSize), gamma_(gamma) {}
 
-Partition Cggc::run(const Graph& g) {
+Partition Cggc::run(const CsrGraph& g) {
     Epp scheme(ensembleSize_, rgMaker(gamma_), rgMaker(gamma_), "CGGC");
     return scheme.run(g);
 }
@@ -26,7 +26,7 @@ Partition Cggc::run(const Graph& g) {
 CggcIterated::CggcIterated(count ensembleSize, double gamma)
     : ensembleSize_(ensembleSize), gamma_(gamma) {}
 
-Partition CggcIterated::run(const Graph& g) {
+Partition CggcIterated::run(const CsrGraph& g) {
     EppIterated scheme(ensembleSize_, rgMaker(gamma_), rgMaker(gamma_),
                        /*minImprovement=*/1e-4, /*maxLevels=*/16, "CGGCi");
     return scheme.run(g);

@@ -15,7 +15,8 @@ class Cggc final : public CommunityDetector {
 public:
     explicit Cggc(count ensembleSize = 4, double gamma = 1.0);
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override { return "CGGC"; }
 
@@ -28,7 +29,8 @@ class CggcIterated final : public CommunityDetector {
 public:
     explicit CggcIterated(count ensembleSize = 4, double gamma = 1.0);
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override { return "CGGCi"; }
 

@@ -9,14 +9,17 @@
 
 namespace grapr {
 
-Partition MatchingAgglomeration::run(const Graph& g) {
+Partition MatchingAgglomeration::run(const CsrGraph& g) {
     // The hierarchy of contractions: maps[i] is the fine-to-coarse map of
     // round i. The final solution is the identity on the coarsest graph
     // projected back through the stack.
     std::vector<std::vector<node>> hierarchy;
-    Graph current = g.isWeighted() ? g : g.toWeighted();
+    // The graph of the current round: g, then the latest coarse graph.
+    const CsrGraph* level = &g;
+    CsrGraph latest;
 
     for (count round = 0; round < maxRounds_; ++round) {
+        const CsrGraph& current = *level;
         const count bound = current.upperNodeIdBound();
         const double omegaE = current.totalEdgeWeight();
         if (omegaE <= 0.0) break;
@@ -93,17 +96,18 @@ Partition MatchingAgglomeration::run(const Graph& g) {
         groups.allToSingletons();
         current.forNodes([&](node u) { groups.set(u, groupSets.find(u)); });
 
-        ParallelPartitionCoarsening coarsener(true);
-        CoarseningResult coarse = coarsener.run(current, groups);
+        CsrCoarseningResult coarse =
+            ParallelPartitionCoarsening().run(current, groups);
         if (coarse.coarseGraph.numberOfNodes() >= current.numberOfNodes()) {
             break;
         }
         hierarchy.push_back(std::move(coarse.fineToCoarse));
-        current = std::move(coarse.coarseGraph);
+        latest = std::move(coarse.coarseGraph);
+        level = &latest;
     }
 
     // Identity on the coarsest level, projected back to g.
-    Partition coarsest(current.upperNodeIdBound());
+    Partition coarsest(level->upperNodeIdBound());
     coarsest.allToSingletons();
     Partition zeta =
         ClusteringProjector::projectThroughHierarchy(coarsest, hierarchy);

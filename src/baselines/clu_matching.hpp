@@ -28,7 +28,8 @@ public:
         : starAdaptation_(starAdaptation), gamma_(gamma),
           maxRounds_(maxRounds) {}
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override {
         return starAdaptation_ ? "CLU_TBB-like" : "CEL-like";

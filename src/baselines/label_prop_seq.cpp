@@ -6,7 +6,7 @@
 
 namespace grapr {
 
-Partition LabelPropSeq::run(const Graph& g) {
+Partition LabelPropSeq::run(const CsrGraph& g) {
     const count bound = g.upperNodeIdBound();
     Partition zeta(bound);
     zeta.allToSingletons();

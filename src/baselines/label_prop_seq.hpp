@@ -16,7 +16,8 @@ public:
     explicit LabelPropSeq(count maxIterations = 1000)
         : maxIterations_(maxIterations) {}
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override { return "LabelPropagation(seq)"; }
 

@@ -8,7 +8,7 @@
 
 namespace grapr {
 
-count LouvainSeq::movePhase(const Graph& g, Partition& zeta) const {
+count LouvainSeq::movePhase(const CsrGraph& g, Partition& zeta) const {
     const count bound = g.upperNodeIdBound();
     const double omegaE = g.totalEdgeWeight();
     if (omegaE <= 0.0) return 0;
@@ -67,15 +67,15 @@ count LouvainSeq::movePhase(const Graph& g, Partition& zeta) const {
     return totalMoves;
 }
 
-Partition LouvainSeq::runRecursive(const Graph& g) const {
+Partition LouvainSeq::runRecursive(const CsrGraph& g) const {
     Partition zeta(g.upperNodeIdBound());
     zeta.allToSingletons();
     const count moves = movePhase(g, zeta);
     if (moves == 0) return zeta;
 
-    // Sequential coarsening, as in the reference implementation.
-    ParallelPartitionCoarsening coarsener(false);
-    CoarseningResult coarse = coarsener.run(g, zeta);
+    // Coarsening on one thread, as in the reference implementation.
+    const CsrCoarseningResult coarse =
+        ParallelPartitionCoarsening(false).run(g, zeta);
     if (coarse.coarseGraph.numberOfNodes() >= g.numberOfNodes()) return zeta;
 
     const Partition coarseSolution = runRecursive(coarse.coarseGraph);
@@ -83,7 +83,7 @@ Partition LouvainSeq::runRecursive(const Graph& g) const {
                                             coarse.fineToCoarse);
 }
 
-Partition LouvainSeq::run(const Graph& g) {
+Partition LouvainSeq::run(const CsrGraph& g) {
     Partition zeta = runRecursive(g);
     zeta.setUpperBound(static_cast<node>(g.upperNodeIdBound()));
     zeta.compact();

@@ -16,7 +16,8 @@ public:
     explicit LouvainSeq(double gamma = 1.0, count maxMoveIterations = 64)
         : gamma_(gamma), maxMoveIterations_(maxMoveIterations) {}
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override { return "Louvain"; }
 
@@ -25,9 +26,9 @@ private:
     count maxMoveIterations_;
 
     /// Sequential move phase with randomized order; returns #moves.
-    count movePhase(const Graph& g, Partition& zeta) const;
+    count movePhase(const CsrGraph& g, Partition& zeta) const;
 
-    Partition runRecursive(const Graph& g) const;
+    Partition runRecursive(const CsrGraph& g) const;
 };
 
 } // namespace grapr

@@ -20,7 +20,7 @@ struct CommunityGraph {
     std::vector<node> live;   // candidates for random sampling
     double omegaE = 0.0;
 
-    explicit CommunityGraph(const Graph& g) {
+    explicit CommunityGraph(const CsrGraph& g) {
         const count bound = g.upperNodeIdBound();
         weightTo.resize(bound);
         volume.assign(bound, 0.0);
@@ -75,7 +75,7 @@ struct CommunityGraph {
 
 } // namespace
 
-Partition RandomizedGreedy::run(const Graph& g) {
+Partition RandomizedGreedy::run(const CsrGraph& g) {
     Partition zeta(g.upperNodeIdBound());
     zeta.allToSingletons();
     if (g.numberOfEdges() == 0) return zeta;

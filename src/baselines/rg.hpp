@@ -22,7 +22,8 @@ public:
     explicit RandomizedGreedy(double gamma = 1.0, count sampleSize = 4)
         : gamma_(gamma), sampleSize_(sampleSize) {}
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override { return "RG"; }
 

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
-#include <omp.h>
-
-#include "graph/graph_builder.hpp"
 #include "support/parallel.hpp"
 
 namespace grapr {
@@ -14,9 +10,7 @@ namespace grapr {
 namespace {
 
 /// Deterministic compaction: coarse ids ordered by ascending community id.
-/// Generic over the graph layout (mutable adjacency lists or frozen CSR).
-template <typename GraphT>
-std::pair<std::vector<node>, count> compactMap(const GraphT& g,
+std::pair<std::vector<node>, count> compactMap(const CsrGraph& g,
                                                const Partition& zeta) {
     const count idBound = zeta.upperBound();
     require(idBound > 0, "coarsening: partition upper bound is zero");
@@ -82,93 +76,6 @@ void appendInKeyOrder(RowScratch& scratch, CoarseRows& out) {
 }
 
 } // namespace
-
-CoarseningResult ParallelPartitionCoarsening::run(const Graph& g,
-                                                  const Partition& zeta) const {
-    auto [fineToCoarse, coarseNodes] = compactMap(g, zeta);
-    return parallel_ ? runParallel(g, fineToCoarse, coarseNodes)
-                     : runSequential(g, fineToCoarse, coarseNodes);
-}
-
-CoarseningResult ParallelPartitionCoarsening::runSequential(
-    const Graph& g, const std::vector<node>& fineToCoarse,
-    count coarseNodes) const {
-    // One hash aggregation over all edges — the pre-parallelization scheme
-    // kept for the ablation study.
-    std::unordered_map<std::uint64_t, double> agg;
-    agg.reserve(g.numberOfEdges() / 4 + 16);
-    g.forEdges([&](node u, node v, edgeweight w) {
-        node cu = fineToCoarse[u];
-        node cv = fineToCoarse[v];
-        if (cu > cv) std::swap(cu, cv);
-        agg[(static_cast<std::uint64_t>(cu) << 32) | cv] += w;
-    });
-
-    CoarseningResult result;
-    result.coarseGraph = Graph(coarseNodes, true);
-    for (const auto& [key, w] : agg) {
-        const auto cu = static_cast<node>(key >> 32);
-        const auto cv = static_cast<node>(key & 0xffffffffULL);
-        result.coarseGraph.addEdge(cu, cv, w);
-    }
-    result.fineToCoarse = fineToCoarse;
-    return result;
-}
-
-CoarseningResult ParallelPartitionCoarsening::runParallel(
-    const Graph& g, const std::vector<node>& fineToCoarse,
-    count coarseNodes) const {
-    // Phase 1 (paper §III-B): each thread scans a slice of the fine edges
-    // and aggregates them in a thread-private hash map — its partial coarse
-    // graph G'_t.
-    const int threads = omp_get_max_threads();
-    std::vector<std::unordered_map<std::uint64_t, double>> partial(
-        static_cast<std::size_t>(threads));
-
-    const auto bound = static_cast<std::int64_t>(g.upperNodeIdBound());
-#pragma omp parallel default(none) shared(g, partial, fineToCoarse, bound)
-    {
-        auto& local = partial[static_cast<std::size_t>(omp_get_thread_num())];
-        local.reserve(1024);
-#pragma omp for schedule(guided)
-        for (std::int64_t su = 0; su < bound; ++su) {
-            const node u = static_cast<node>(su);
-            if (!g.hasNode(u)) continue;
-            g.forNeighborsOf(u, [&](node v, edgeweight w) {
-                if (v < u) return; // each fine edge from one endpoint only
-                node cu = fineToCoarse[u];
-                node cv = fineToCoarse[v];
-                if (cu > cv) std::swap(cu, cv);
-                local[(static_cast<std::uint64_t>(cu) << 32) | cv] += w;
-            });
-        }
-    }
-
-    // Phase 2: merge the partial graphs. Emitting each partial adjacency as
-    // an edge triple and letting GraphBuilder deduplicate with weight
-    // summation performs exactly the per-coarse-node merge, with the
-    // scatter phase parallel.
-    GraphBuilder builder(coarseNodes, true);
-    // Worksharing over the partial maps, NOT one map per team member: the
-    // num_threads clause the old code relied on is only a request — with
-    // dynamic thread adjustment a smaller team would silently skip the
-    // unvisited partial maps, dropping coarse edges.
-    const auto nparts = static_cast<std::int64_t>(partial.size());
-#pragma omp parallel for default(none) shared(builder, partial, nparts)      \
-    schedule(static)
-    for (std::int64_t t = 0; t < nparts; ++t) {
-        const auto& local = partial[static_cast<std::size_t>(t)];
-        for (const auto& [key, w] : local) {
-            builder.addEdge(static_cast<node>(key >> 32),
-                            static_cast<node>(key & 0xffffffffULL), w);
-        }
-    }
-
-    CoarseningResult result;
-    result.coarseGraph = builder.build(/*dedup=*/true, /*sumWeights=*/true);
-    result.fineToCoarse = fineToCoarse;
-    return result;
-}
 
 CsrCoarseningResult ParallelPartitionCoarsening::run(
     const CsrGraph& g, const Partition& zeta) const {

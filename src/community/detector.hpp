@@ -4,6 +4,11 @@
 // is deliberately uniform so ensembles (EPP) can be instantiated with any
 // base/final algorithm and the benchmark harnesses can treat competitors
 // and our algorithms identically.
+//
+// Every detector runs on the frozen CSR layout: run(const CsrGraph&) is
+// the one virtual entry point. run(const Graph&) freezes its argument once
+// and forwards; a concrete detector keeps it visible with
+// `using CommunityDetector::run;`.
 
 #include <memory>
 #include <string>
@@ -22,13 +27,14 @@ public:
     /// Compute communities for g. Must be callable repeatedly (each call is
     /// an independent run; randomized algorithms may return different
     /// solutions per call).
-    virtual Partition run(const Graph& g) = 0;
+    virtual Partition run(const CsrGraph& g) = 0;
 
-    /// Compute communities for a frozen graph. The default thaws g into a
-    /// Graph once and runs run(const Graph&) on it; detectors with a
-    /// frozen kernel (PLM, PLMR, PLP) override it and build no Graph.
-    /// Both overloads return the same partition for the same graph.
-    virtual Partition run(const CsrGraph& g) { return run(g.toGraph()); }
+    /// Freeze g once and run on the frozen graph: the same partition as
+    /// run(CsrGraph(g)).
+    Partition run(const Graph& g) {
+        const CsrGraph frozen(g);
+        return run(frozen);
+    }
 
     /// Human-readable algorithm label, e.g. "PLM(gamma=1)".
     virtual std::string toString() const = 0;

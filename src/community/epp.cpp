@@ -15,7 +15,7 @@ Epp::Epp(count ensembleSize, DetectorMaker makeBase, DetectorMaker makeFinal,
     require(ensembleSize >= 1, "EPP: ensemble size must be >= 1");
 }
 
-Partition Epp::run(const Graph& g) {
+Partition Epp::run(const CsrGraph& g) {
     // Base phase. The paper launches the b base instances concurrently
     // ("massive nested parallelism"); here each base algorithm is itself
     // fully parallel, so running them back-to-back performs the same work
@@ -34,8 +34,8 @@ Partition Epp::run(const Graph& g) {
 
     // Coarsen by the cores — contested regions stay fine-grained, agreed
     // regions collapse.
-    ParallelPartitionCoarsening coarsener(true);
-    CoarseningResult coarse = coarsener.run(g, cores);
+    const CsrCoarseningResult coarse =
+        ParallelPartitionCoarsening().run(g, cores);
 
     // Final phase on the much smaller graph, then prolongation.
     auto finalDetector = makeFinal_();
@@ -57,11 +57,13 @@ EppIterated::EppIterated(count ensembleSize, DetectorMaker makeBase,
     require(ensembleSize >= 1, "EPPIterated: ensemble size must be >= 1");
 }
 
-Partition EppIterated::run(const Graph& g) {
+Partition EppIterated::run(const CsrGraph& g) {
     const Modularity modularity;
-    ParallelPartitionCoarsening coarsener(true);
+    const ParallelPartitionCoarsening coarsener;
 
-    Graph current = g; // working copy; coarsens level by level
+    // The level being clustered: g itself, then the latest coarse graph.
+    const CsrGraph* current = &g;
+    CsrGraph coarsest;
     std::vector<std::vector<node>> hierarchy;
     double lastQuality = -1.0;
 
@@ -70,7 +72,7 @@ Partition EppIterated::run(const Graph& g) {
         baseSolutions.reserve(ensembleSize_);
         for (count i = 0; i < ensembleSize_; ++i) {
             auto base = makeBase_();
-            baseSolutions.push_back(base->run(current));
+            baseSolutions.push_back(base->run(*current));
         }
         Partition cores = HashingCombiner::combine(baseSolutions);
 
@@ -85,16 +87,17 @@ Partition EppIterated::run(const Graph& g) {
         if (quality <= lastQuality + minImprovement_) break;
         lastQuality = quality;
 
-        CoarseningResult coarse = coarsener.run(current, cores);
-        if (coarse.coarseGraph.numberOfNodes() >= current.numberOfNodes()) {
+        CsrCoarseningResult coarse = coarsener.run(*current, cores);
+        if (coarse.coarseGraph.numberOfNodes() >= current->numberOfNodes()) {
             break; // no contraction; iterating further cannot help
         }
         hierarchy.push_back(std::move(coarse.fineToCoarse));
-        current = std::move(coarse.coarseGraph);
+        coarsest = std::move(coarse.coarseGraph);
+        current = &coarsest;
     }
 
     auto finalDetector = makeFinal_();
-    Partition solution = finalDetector->run(current);
+    Partition solution = finalDetector->run(*current);
     solution = ClusteringProjector::projectThroughHierarchy(solution,
                                                             hierarchy);
     solution.compact();

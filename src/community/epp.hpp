@@ -28,7 +28,8 @@ public:
     Epp(count ensembleSize, DetectorMaker makeBase, DetectorMaker makeFinal,
         std::string name = "EPP");
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override;
 
@@ -47,7 +48,8 @@ public:
                 DetectorMaker makeFinal, double minImprovement = 1e-4,
                 count maxLevels = 16, std::string name = "EPPIterated");
 
-    Partition run(const Graph& g) override;
+    using CommunityDetector::run;
+    Partition run(const CsrGraph& g) override;
 
     std::string toString() const override;
 

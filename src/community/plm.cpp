@@ -574,6 +574,9 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
     std::vector<node> lowBucket;
     std::vector<node> midBucket;
     std::vector<node> hubBucket;
+    // Each sweep reads what the previous ones wrote; the fence shows TSan
+    // the fork and join edges libgomp provides (no-op in other builds).
+    Parallel::TsanJoinFence fence;
 
     count totalMoves = 0;
     count evaluatedNodes = 0;
@@ -622,10 +625,12 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
             // One region, three worksharing loops (implicit barrier after
             // each keeps the bucket phases ordered without paying three
             // fork/joins); the scratch slot resolves once per thread.
+            fence.open();
 #pragma omp parallel default(none)                                           \
     shared(processNode, scratch, lowBucket, midBucket, hubBucket, nLow, nMid, \
-               nHub) reduction(+ : movedThisRound)
+               nHub, fence) reduction(+ : movedThisRound)
             {
+                fence.enter();
                 MoveScratch<Cells>& sc = scratch.local();
 #pragma omp for schedule(static)
                 for (std::int64_t i = 0; i < nLow; ++i) {
@@ -639,18 +644,24 @@ count movePhaseTunedImpl(const CsrGraph& g, Partition& zeta, double gamma,
                 for (std::int64_t i = 0; i < nHub; ++i) {
                     processNode(hubBucket[i], movedThisRound, sc);
                 }
+                fence.arrive();
             }
+            fence.join();
         } else {
             const auto n = static_cast<std::int64_t>(work.size());
-#pragma omp parallel default(none) shared(processNode, scratch, work, n)   \
-    reduction(+ : movedThisRound)
+            fence.open();
+#pragma omp parallel default(none)                                           \
+    shared(processNode, scratch, work, n, fence) reduction(+ : movedThisRound)
             {
+                fence.enter();
                 MoveScratch<Cells>& sc = scratch.local();
 #pragma omp for schedule(guided)
                 for (std::int64_t i = 0; i < n; ++i) {
                     processNode(work[i], movedThisRound, sc);
                 }
+                fence.arrive();
             }
+            fence.join();
         }
 
         totalMoves += movedThisRound;
@@ -912,11 +923,6 @@ Partition Plm::runRecursive(const CsrGraph& g, count level,
         moveNodes(g, zeta, config_, nullptr);
     }
     return zeta;
-}
-
-Partition Plm::run(const Graph& g) {
-    const CsrGraph frozen(g);
-    return run(frozen);
 }
 
 Partition Plm::run(const CsrGraph& g) {

@@ -88,8 +88,8 @@ struct PlmConfig {
     double gamma = 1.0;
     /// Add the refinement move phase after every prolongation (PLMR).
     bool refine = false;
-    /// Use the parallel coarsening scheme; sequential hash aggregation
-    /// otherwise (ablation of the "major sequential bottleneck").
+    /// Coarsen each level on all threads; false coarsens on one thread.
+    /// The coarse graph is the same either way.
     bool parallelCoarsening = true;
     /// Safety cap on move-phase sweeps per level.
     count maxMoveIterations = 64;
@@ -119,11 +119,9 @@ class Plm : public CommunityDetector {
 public:
     explicit Plm(PlmConfig config = {}) : config_(config) {}
 
-    /// Freezes g into a CsrGraph and runs on that.
-    Partition run(const Graph& g) override;
-
-    /// Run on an already-frozen graph (no freeze cost, no conversion):
-    /// the entry point for callers that hold a CsrGraph anyway.
+    using CommunityDetector::run;
+    /// Every level is frozen: the input as given, the coarse levels as the
+    /// coarsening builds them.
     Partition run(const CsrGraph& g) override;
 
     std::string toString() const override;

@@ -1,9 +1,5 @@
 #include "community/plp.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#include "community/vertex_following.hpp"
 #include "graph/graph_tools.hpp"
 #include "support/parallel.hpp"
 #include "support/race_check.hpp"
@@ -11,26 +7,7 @@
 
 namespace grapr {
 
-Partition Plp::run(const Graph& g) {
-    const CsrGraph frozen(g);
-    return run(frozen);
-}
-
 Partition Plp::run(const CsrGraph& g) {
-    if (config_.vertexFollowing) {
-        const VertexFollowingReduction reduction = VertexFollowing::reduce(g);
-        if (reduction.collapsed > 0) {
-            const Partition reducedSolution = runImpl(reduction.reduced);
-            Partition zeta =
-                VertexFollowing::projectBack(reducedSolution, reduction);
-            zeta.setUpperBound(static_cast<node>(g.upperNodeIdBound()));
-            return zeta;
-        }
-    }
-    return runImpl(g);
-}
-
-Partition Plp::runImpl(const CsrGraph& g) {
     const count bound = g.upperNodeIdBound();
     Partition zeta(bound);
     zeta.allToSingletons();
@@ -54,14 +31,6 @@ Partition Plp::runImpl(const CsrGraph& g) {
         config_.thetaFraction * static_cast<double>(g.numberOfNodes());
 
     ScratchPool scratch(bound);
-
-    // Frontier mode: `order` doubles as the worklist — after each
-    // iteration it is rebuilt from the per-thread slices of nodes whose
-    // neighborhood changed. `pending` deduplicates insertions (a relaxed
-    // test-and-set; the winning thread appends to its slice).
-    const bool frontier = config_.frontierSweep;
-    std::vector<std::atomic<std::uint8_t>> pending(frontier ? bound : 0);
-    ThreadLocalPool<std::vector<node>> frontierSlices;
 
     // Weighted dominant-label selection for one node: the label maximizing
     // the incident weight, ties broken uniformly at random by reservoir
@@ -101,21 +70,17 @@ Partition Plp::runImpl(const CsrGraph& g) {
     iterations_ = 0;
     count updated = g.numberOfNodes();
     while (static_cast<double>(updated) > theta &&
-           iterations_ < config_.maxIterations && !order.empty()) {
+           iterations_ < config_.maxIterations) {
         count activeCount = 0;
         if (tracer_) {
-            if (frontier) {
-                activeCount = static_cast<count>(order.size());
-            } else {
-                for (node v = 0; v < bound; ++v) activeCount += active[v];
-            }
+            for (node v = 0; v < bound; ++v) activeCount += active[v];
         }
 
         count updatedThisRound = 0;
 
         auto processNode = [&](node v, count& localUpdated) {
             if (g.degree(v) == 0) return;
-            if (!frontier && config_.trackActiveNodes) {
+            if (config_.trackActiveNodes) {
                 if (!active[v]) return;
                 // grapr:benign-race(active): the deactivation below races
                 // with neighbor re-arms (`active[u] = 1`); losing the race
@@ -135,17 +100,7 @@ Partition Plp::runImpl(const CsrGraph& g) {
                 label[v] = best;
                 GRAPR_RACE_BENIGN_SITE("plp.sweep.label");
                 ++localUpdated;
-                if (frontier) {
-                    std::vector<node>& slice = frontierSlices.local();
-                    g.forNeighborsOf(v, [&](node u, edgeweight) {
-                        if (u == v) return;
-                        if (pending[u].load(std::memory_order_relaxed) == 0 &&
-                            pending[u].exchange(
-                                1, std::memory_order_relaxed) == 0) {
-                            slice.push_back(u);
-                        }
-                    });
-                } else if (config_.trackActiveNodes) {
+                if (config_.trackActiveNodes) {
                     g.forNeighborsOf(v, [&](node u, edgeweight) {
                         // grapr:benign-race(active): re-arm flag; byte
                         // stores of the same value from several threads,
@@ -158,7 +113,7 @@ Partition Plp::runImpl(const CsrGraph& g) {
             }
         };
 
-        if (config_.explicitRandomization && iterations_ > 0 && !frontier) {
+        if (config_.explicitRandomization && iterations_ > 0) {
             Random::shuffle(order.begin(), order.end());
         }
         GRAPR_RACE_PHASE("plp.round");
@@ -182,25 +137,6 @@ Partition Plp::runImpl(const CsrGraph& g) {
         updated = updatedThisRound;
         ++iterations_;
         if (tracer_) tracer_->record(iterations_, activeCount, updated);
-
-        if (frontier) {
-            // Rebuild the worklist: concatenate the per-thread slices,
-            // sort (a canonical order independent of thread interleaving),
-            // drop the dedup flags, then reshuffle — the frontier replaces
-            // the full sweep, so it needs the same traversal decorrelation
-            // the upfront shuffle gave `order`.
-            order.clear();
-            for (std::size_t t = 0; t < frontierSlices.size(); ++t) {
-                std::vector<node>& slice = frontierSlices.slot(t);
-                order.insert(order.end(), slice.begin(), slice.end());
-                slice.clear();
-            }
-            std::sort(order.begin(), order.end());
-            for (const node v : order) {
-                pending[v].store(0, std::memory_order_relaxed);
-            }
-            Random::shuffle(order.begin(), order.end());
-        }
     }
 
     zeta.setUpperBound(static_cast<node>(bound));
@@ -213,8 +149,6 @@ std::string Plp::toString() const {
     if (config_.explicitRandomization) name += "+rand";
     if (!config_.guidedSchedule) name += "+static";
     if (!config_.trackActiveNodes) name += "+noactivity";
-    if (config_.frontierSweep) name += "+frontier";
-    if (config_.vertexFollowing) name += "+vf";
     return name;
 }
 

@@ -41,35 +41,14 @@ struct PlpConfig {
     /// neighborhood has not changed"); false re-evaluates every node in
     /// every iteration — the activity-tracking ablation.
     bool trackActiveNodes = true;
-    /// Sweep a frontier instead of all n nodes: after the first full
-    /// iteration, only the nodes whose neighborhood changed last iteration
-    /// (collected into a deduplicated worklist when their neighbor's label
-    /// flipped) are visited at all. Versus trackActiveNodes — which still
-    /// walks the full node range and pays a flag check per converged node
-    /// — the long convergence tail becomes O(frontier) per iteration. The
-    /// frontier is rebuilt (and reshuffled, preserving the traversal
-    /// decorrelation) between iterations, so nodes activated late are
-    /// visited one iteration later than flag-mode would visit them:
-    /// iteration counts and labels differ slightly, which is why this is
-    /// opt-in and pinned by its own regression test rather than the
-    /// bit-reproducibility harness. Takes precedence over trackActiveNodes.
-    bool frontierSweep = false;
-    /// Collapse degree-1 chains/pendants onto their anchors before
-    /// propagation and project the labels back afterwards (vertex
-    /// following; see community/vertex_following.hpp). Followers adopt
-    /// their anchor's final label by construction.
-    bool vertexFollowing = false;
 };
 
 class Plp final : public CommunityDetector {
 public:
     explicit Plp(PlpConfig config = {}) : config_(config) {}
 
-    /// Freezes g into a CsrGraph (the O(m) freeze is amortized over tens
-    /// of label sweeps that then stream flat arrays) and runs on that.
-    Partition run(const Graph& g) override;
-
-    /// Run on an already-frozen graph (no freeze cost, no conversion).
+    using CommunityDetector::run;
+    /// The label sweeps stream the frozen graph's flat arrays.
     Partition run(const CsrGraph& g) override;
 
     std::string toString() const override;
@@ -80,9 +59,6 @@ public:
 private:
     PlpConfig config_;
     count iterations_ = 0;
-
-    /// The label-propagation kernel.
-    Partition runImpl(const CsrGraph& g);
 };
 
 } // namespace grapr

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace grapr {
@@ -100,7 +101,21 @@ void Graph::removeEdge(node u, node v GRAPR_VIEW_SITE_ARG) {
 
     dropAt(u, iu);
     if (u != v) {
-        const index iv = indexOfNeighbor(v, u);
+        // On a multi-edge, drop the instance of v's row that carries the
+        // removed weight: swap-with-back removals reorder the instances of
+        // one row independently of the other, so v's first instance need
+        // not be the one just taken from u's row.
+        const auto& adj = adjacency_[v];
+        index iv = npos;
+        for (index i = 0; i < adj.size(); ++i) {
+            if (adj[i] != u) continue;
+            if (iv == npos) iv = i; // no weight matches: the first instance
+            if (!weighted_ || std::bit_cast<std::uint64_t>(weights_[v][i]) ==
+                                  std::bit_cast<std::uint64_t>(w)) {
+                iv = i;
+                break;
+            }
+        }
         require(iv != npos, "removeEdge: asymmetric adjacency");
         dropAt(v, iv);
     } else {
@@ -155,15 +170,6 @@ std::vector<node> Graph::nodeIds() const {
     ids.reserve(n_);
     forNodes([&](node v) { ids.push_back(v); });
     return ids;
-}
-
-Graph Graph::toWeighted() const {
-    if (weighted_) return *this;
-    Graph result(upperNodeIdBound(), true);
-    result.n_ = n_;
-    result.exists_ = exists_;
-    forEdges([&](node u, node v, edgeweight w) { result.addEdge(u, v, w); });
-    return result;
 }
 
 void Graph::reserveNeighbors(node v, count capacity) {

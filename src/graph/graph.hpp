@@ -192,9 +192,6 @@ public:
     /// List of existing node ids.
     std::vector<node> nodeIds() const;
 
-    /// A weighted copy (no-op structural change if already weighted).
-    Graph toWeighted() const;
-
     /// Structural equality: same node set, same edge multiset with equal
     /// weights (order-insensitive). Intended for tests and I/O round-trips.
     bool structurallyEquals(const Graph& other) const;

@@ -31,7 +31,7 @@ count GraphBuilder::bufferedEdges() const {
     return total;
 }
 
-Graph GraphBuilder::build(bool dedup, bool sumWeights) {
+Graph GraphBuilder::build(bool dedup) {
     // Flatten the per-thread buffers (cheap: move the largest, copy rest).
     std::vector<Triple> triples;
     triples.reserve(bufferedEdges());
@@ -66,16 +66,11 @@ Graph GraphBuilder::build(bool dedup, bool sumWeights) {
                   [](const Triple& a, const Triple& b) {
                       return a.u != b.u ? a.u < b.u : a.v < b.v;
                   });
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < triples.size(); ++i) {
-            if (out > 0 && triples[out - 1].u == triples[i].u &&
-                triples[out - 1].v == triples[i].v) {
-                if (sumWeights) triples[out - 1].w += triples[i].w;
-            } else {
-                triples[out++] = triples[i];
-            }
-        }
-        triples.resize(out);
+        const auto last = std::unique(triples.begin(), triples.end(),
+                                      [](const Triple& a, const Triple& b) {
+                                          return a.u == b.u && a.v == b.v;
+                                      });
+        triples.erase(last, triples.end());
     }
 
     // Pass 1: per-node slot counts (loops get one slot, non-loops one per

@@ -8,9 +8,8 @@
 //   1. count the degree contribution of every triple (atomic increments),
 //   2. size all adjacency arrays,
 //   3. scatter the triples into their final slots (atomic slot counters).
-// Optionally deduplicates parallel edges (keeping one instance, summing or
-// keeping unit weights) — R-MAT and configuration-model generators emit
-// duplicates by construction.
+// Optionally deduplicates parallel edges (keeping one instance) — R-MAT
+// and configuration-model generators emit duplicates by construction.
 
 #include <mutex>
 #include <vector>
@@ -34,11 +33,9 @@ public:
     /// Number of triples buffered so far (all threads).
     count bufferedEdges() const;
 
-    /// Assemble the Graph. `dedup` removes parallel edges; with
-    /// `sumWeights`, the surviving instance carries the sum of the
-    /// duplicates' weights (needed when aggregating coarse-graph edges),
-    /// otherwise the first instance's weight. The builder is consumed.
-    Graph build(bool dedup = false, bool sumWeights = false);
+    /// Assemble the Graph. `dedup` removes parallel edges; the surviving
+    /// instance keeps one duplicate's weight. The builder is consumed.
+    Graph build(bool dedup = false);
 
 private:
     struct Triple {

@@ -74,12 +74,6 @@ std::pair<Graph, std::vector<node>> inducedSubgraph(
     return {std::move(sub), std::move(map)};
 }
 
-std::vector<node> randomNodeOrder(const Graph& g) {
-    std::vector<node> order = g.nodeIds();
-    Random::shuffle(order.begin(), order.end());
-    return order;
-}
-
 std::vector<node> randomNodeOrder(const CsrGraph& g) {
     std::vector<node> order = g.nodeIds();
     Random::shuffle(order.begin(), order.end());

@@ -1,8 +1,8 @@
 #pragma once
 // Whole-graph utilities: degree statistics, compaction of node ids after
-// deletions, subgraph extraction, and randomized node orders (used by the
-// sequential Louvain baseline, which — unlike PLM — explicitly randomizes
-// its traversal order).
+// deletions, subgraph extraction, and randomized node orders of a frozen
+// graph (PLP's upfront shuffle, and the sequential baselines, which —
+// unlike PLM — explicitly randomize their traversal order).
 
 #include <vector>
 
@@ -39,9 +39,6 @@ std::pair<Graph, std::vector<node>> inducedSubgraph(
     const Graph& g, const std::vector<node>& nodes);
 
 /// Existing node ids in uniformly random order (thread-local RNG).
-std::vector<node> randomNodeOrder(const Graph& g);
-/// Frozen-graph overload: identical RNG consumption, so PLP's traversal
-/// order matches across layouts.
 std::vector<node> randomNodeOrder(const CsrGraph& g);
 
 /// A uniformly random existing node; none if the graph is empty.

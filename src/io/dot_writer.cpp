@@ -18,7 +18,7 @@ void writeDot(const Graph& g, const std::string& path) {
     if (!out) fail("writeDot: write error on " + path);
 }
 
-void writeCommunityGraphDot(const Graph& communityGraph,
+void writeCommunityGraphDot(const CsrGraph& communityGraph,
                             const std::vector<count>& communitySizes,
                             const std::string& path) {
     require(communitySizes.size() >= communityGraph.numberOfNodes(),

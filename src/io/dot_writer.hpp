@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 #include "structures/partition.hpp"
 
@@ -17,7 +18,7 @@ void writeDot(const Graph& g, const std::string& path);
 /// Write the community graph of (g, zeta): one DOT node per community with
 /// width/label scaled by community size; edge thickness by inter-community
 /// weight. zeta must be compacted (ids < upperBound, consecutive).
-void writeCommunityGraphDot(const Graph& communityGraph,
+void writeCommunityGraphDot(const CsrGraph& communityGraph,
                             const std::vector<count>& communitySizes,
                             const std::string& path);
 

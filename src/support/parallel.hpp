@@ -25,16 +25,25 @@ namespace Parallel {
 /// the caller after the join are then (flakily) reported as races. One
 /// release-RMW per thread at region end (`arrive`), acquired once after
 /// the region (`join`), expresses the same edge in standard C++ atomics
-/// that TSan does understand. Compiled to no-ops outside TSan builds.
+/// that TSan does understand. A region that reads what earlier regions
+/// wrote also needs the fork edge: one release by the caller before the
+/// region (`open`), acquired by each thread at region start (`enter`).
+/// Without both, every such read is a suppressed race report, and a
+/// 4-thread PLM sweep over 40k nodes takes minutes under TSan instead of
+/// seconds. Compiled to no-ops outside TSan builds.
 class TsanJoinFence {
 public:
 #if defined(__SANITIZE_THREAD__)
+    void open() noexcept { token_.fetch_add(1, std::memory_order_release); }
+    void enter() noexcept { (void)token_.load(std::memory_order_acquire); }
     void arrive() noexcept { token_.fetch_add(1, std::memory_order_acq_rel); }
     void join() noexcept { (void)token_.load(std::memory_order_acquire); }
 
 private:
     std::atomic<int> token_{0};
 #else
+    void open() noexcept {}
+    void enter() noexcept {}
     void arrive() noexcept {}
     void join() noexcept {}
 #endif

@@ -200,9 +200,9 @@ TEST(Registry, EveryDetectorSolvesSmokeGraph) {
 }
 
 TEST(Registry, FrozenRunMatchesGraphRun) {
-    // run(const CsrGraph&) is the same detector as run(const Graph&): PLM,
-    // PLMR and PLP sweep the frozen graph directly, every other detector
-    // thaws it once. One thread, so both runs follow the same order.
+    // run(const Graph&) freezes its argument once and runs the detector's
+    // run(const CsrGraph&), so both return the same partition. One thread,
+    // so both runs follow the same order.
     const SingleThreadScope pinned;
     Random::setSeed(311);
     const Graph g = PlantedPartitionGenerator(240, 6, 0.3, 0.02).generate();

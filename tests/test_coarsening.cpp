@@ -1,12 +1,12 @@
 // Coarsening and prolongation: weight conservation, structural shape,
-// parallel == sequential, projection identities, and the CSR path against
-// a sequential oracle, bit for bit at every thread count.
+// parallel == sequential, projection identities, and the CSR coarsening
+// against a sequential oracle (tests/support/coarsening_oracle.hpp), bit
+// for bit at every thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -19,10 +19,13 @@
 #include "generators/simple_graphs.hpp"
 #include "graph/csr_graph.hpp"
 #include "quality/modularity.hpp"
+#include "support/coarsening_oracle.hpp"
 #include "support/random.hpp"
 #include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::OracleCoarsening;
+using grapr::testing::oracleCoarsening;
 using grapr::testing::SingleThreadScope;
 using grapr::testing::ThreadCountScope;
 
@@ -52,8 +55,9 @@ TEST(Coarsening, TwoTrianglesToTwoNodes) {
     for (node v = 0; v < 6; ++v) p.set(v, v < 3 ? 0 : 1);
     p.setUpperBound(2);
 
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
-    const Graph& coarse = result.coarseGraph;
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
+    const Graph coarse = result.coarseGraph.toGraph();
     EXPECT_EQ(coarse.numberOfNodes(), 2u);
     EXPECT_EQ(coarse.numberOfEdges(), 3u); // 2 loops + 1 edge
     EXPECT_DOUBLE_EQ(coarse.weight(0, 0), 3.0);
@@ -66,7 +70,8 @@ TEST(Coarsening, PreservesTotalEdgeWeight) {
     Random::setSeed(70);
     Graph g = ErdosRenyiGenerator(500, 0.02).generate();
     const Partition p = evenOddPartition(g.upperNodeIdBound());
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_NEAR(result.coarseGraph.totalEdgeWeight(), g.totalEdgeWeight(),
                 1e-9);
 }
@@ -78,7 +83,8 @@ TEST(Coarsening, PreservesCommunityVolumes) {
     for (node v = 0; v < p.numberOfElements(); ++v) p.set(v, v % 7);
     p.setUpperBound(7);
 
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     // Volume of coarse node c == summed volume of its fine community.
     std::vector<double> fineVolume(7, 0.0);
     g.forNodes([&](node v) { fineVolume[p[v]] += g.volume(v); });
@@ -97,13 +103,14 @@ TEST(Coarsening, SequentialMatchesParallel) {
     }
     p.setUpperBound(40);
 
-    const CoarseningResult parallel =
-        ParallelPartitionCoarsening(true).run(g, p);
-    const CoarseningResult sequential =
-        ParallelPartitionCoarsening(false).run(g, p);
+    const CsrGraph csr(g);
+    const CsrCoarseningResult parallel =
+        ParallelPartitionCoarsening(true).run(csr, p);
+    const CsrCoarseningResult sequential =
+        ParallelPartitionCoarsening(false).run(csr, p);
     EXPECT_EQ(parallel.fineToCoarse, sequential.fineToCoarse);
-    EXPECT_TRUE(
-        parallel.coarseGraph.structurallyEquals(sequential.coarseGraph));
+    EXPECT_TRUE(parallel.coarseGraph.toGraph().structurallyEquals(
+        sequential.coarseGraph.toGraph()));
 }
 
 TEST(Coarsening, SingletonPartitionIsIdentityShape) {
@@ -111,7 +118,8 @@ TEST(Coarsening, SingletonPartitionIsIdentityShape) {
     Graph g = ErdosRenyiGenerator(100, 0.05).generate();
     Partition p(g.upperNodeIdBound());
     p.allToSingletons();
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_EQ(result.coarseGraph.numberOfNodes(), g.numberOfNodes());
     EXPECT_EQ(result.coarseGraph.numberOfEdges(), g.numberOfEdges());
     EXPECT_NEAR(result.coarseGraph.totalEdgeWeight(), g.totalEdgeWeight(),
@@ -122,10 +130,11 @@ TEST(Coarsening, AllToOneGivesSingleNode) {
     Graph g = SimpleGraphs::clique(10);
     Partition p(10);
     p.allToOne();
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_EQ(result.coarseGraph.numberOfNodes(), 1u);
     EXPECT_EQ(result.coarseGraph.numberOfSelfLoops(), 1u);
-    EXPECT_DOUBLE_EQ(result.coarseGraph.weight(0, 0), 45.0);
+    EXPECT_DOUBLE_EQ(result.coarseGraph.toGraph().weight(0, 0), 45.0);
 }
 
 TEST(Coarsening, NonCompactCommunityIdsAreCompacted) {
@@ -136,7 +145,8 @@ TEST(Coarsening, NonCompactCommunityIdsAreCompacted) {
     p.set(2, 7);
     p.set(3, 7);
     p.setUpperBound(101);
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_EQ(result.coarseGraph.numberOfNodes(), 2u);
     // Ascending compaction: community 7 -> coarse 0, community 100 -> 1.
     EXPECT_EQ(result.fineToCoarse[0], 1u);
@@ -151,8 +161,9 @@ TEST(Coarsening, WeightedInputWeightsSummed) {
     Partition p(4);
     p.set(0, 0); p.set(1, 0); p.set(2, 1); p.set(3, 1);
     p.setUpperBound(2);
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
-    EXPECT_DOUBLE_EQ(result.coarseGraph.weight(0, 1), 4.0);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
+    EXPECT_DOUBLE_EQ(result.coarseGraph.toGraph().weight(0, 1), 4.0);
 }
 
 TEST(Projector, ProjectBackBasic) {
@@ -207,7 +218,8 @@ TEST(Projector, ModularityInvariantUnderProjection) {
         p.set(v, static_cast<node>(Random::integer(20)));
     }
     p.setUpperBound(20);
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
 
     // Any coarse solution: group coarse nodes by parity.
     Partition coarseSolution(result.coarseGraph.upperNodeIdBound());
@@ -232,72 +244,6 @@ std::uint64_t bits(double x) {
     std::uint64_t b = 0;
     std::memcpy(&b, &x, sizeof b);
     return b;
-}
-
-/// The coarse graph as plain arrays, plus the figures the CsrGraph
-/// constructor derives from them.
-struct OracleCoarsening {
-    std::vector<grapr::index> offsets;
-    std::vector<node> neighbors;
-    std::vector<edgeweight> weights;
-    std::vector<node> fineToCoarse;
-    count selfLoops = 0;
-    count edges = 0;
-    edgeweight totalWeight = 0.0;
-};
-
-/// Coarse graph of g under zeta, built one row at a time in the order the
-/// CSR coarsening promises: coarse ids rank the used community ids
-/// ascending; row c sums its members' rows, members ascending by fine id
-/// and each row in CSR order; an intra-community entry counts only from
-/// its endpoint u with v >= u; keys ascend within the row.
-OracleCoarsening oracleCoarsening(const CsrGraph& g, const Partition& zeta) {
-    OracleCoarsening o;
-    std::map<node, node> rank;
-    g.forNodes([&](node v) { rank[zeta[v]] = 0; });
-    node next = 0;
-    for (auto& [community, coarse] : rank) coarse = next++;
-    o.fineToCoarse.assign(g.upperNodeIdBound(), none);
-    std::vector<std::vector<node>> members(next);
-    g.forNodes([&](node v) {
-        o.fineToCoarse[v] = rank[zeta[v]];
-        members[o.fineToCoarse[v]].push_back(v);
-    });
-
-    o.offsets.push_back(0);
-    for (node c = 0; c < next; ++c) {
-        std::map<node, edgeweight> row;
-        for (const node u : members[c]) {
-            g.forNeighborsOf(u, [&](node v, edgeweight w) {
-                const node cv = o.fineToCoarse[v];
-                if (cv == c && v < u) return;
-                row[cv] += w;
-            });
-        }
-        for (const auto& [key, w] : row) {
-            o.neighbors.push_back(key);
-            o.weights.push_back(w);
-        }
-        o.offsets.push_back(o.neighbors.size());
-    }
-
-    // The constructor's one-thread derivation: long-double sums in row
-    // order, non-loop entries seen from both ends.
-    long double weightTwice = 0.0L;
-    long double loopWeight = 0.0L;
-    for (node c = 0; c < next; ++c) {
-        for (grapr::index i = o.offsets[c]; i < o.offsets[c + 1]; ++i) {
-            if (o.neighbors[i] == c) {
-                ++o.selfLoops;
-                loopWeight += o.weights[i];
-            } else {
-                weightTwice += o.weights[i];
-            }
-        }
-    }
-    o.edges = (o.neighbors.size() - o.selfLoops) / 2 + o.selfLoops;
-    o.totalWeight = static_cast<edgeweight>(weightTwice / 2.0L + loopWeight);
-    return o;
 }
 
 /// Index of the first entry whose bits differ, or the size when equal.

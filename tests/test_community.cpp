@@ -447,8 +447,8 @@ TEST(Plm, RunOnCoarseGraphDirectly) {
     Graph g = SimpleGraphs::cliqueChain(6, 6);
     Partition first = Plp().run(g);
     first.compact();
-    const CoarseningResult coarse =
-        ParallelPartitionCoarsening().run(g, first);
+    const CsrCoarseningResult coarse =
+        ParallelPartitionCoarsening().run(CsrGraph(g), first);
     const Partition refined = Plm().run(coarse.coarseGraph);
     EXPECT_TRUE(refined.isComplete());
     const double q =

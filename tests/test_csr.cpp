@@ -4,7 +4,8 @@
 // runs (the freezing constructor preserves adjacency order, and the move
 // phase breaks ties by community id, so layout must not leak into
 // results). PLM and PLMR are pinned against a multilevel reference built
-// here from the reference move phase and the adjacency-list coarsening.
+// here from the reference move phase and the sequential coarsening oracle
+// of tests/support, which shares no code with the production coarsening.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +23,13 @@
 #include "graph/csr_graph.hpp"
 #include "quality/coverage.hpp"
 #include "quality/modularity.hpp"
+#include "support/coarsening_oracle.hpp"
 #include "support/random.hpp"
 #include "support/single_thread_scope.hpp"
 
 using namespace grapr;
+using grapr::testing::OracleCoarsening;
+using grapr::testing::oracleCoarsening;
 using grapr::testing::SingleThreadScope;
 
 namespace {
@@ -48,35 +52,35 @@ std::string familyLabel(
 }
 
 /// One level of the multilevel reference: Plm::runRecursive's composition
-/// rebuilt from the untuned parts — the reference move phase (on a frozen
-/// copy of the level, the only layout it takes), the builder-based
-/// coarsening of the adjacency-list graph, projection back and, for PLMR,
-/// one reference sweep after the prolongation.
-Partition referenceLevel(const Graph& g, const PlmConfig& config) {
-    const CsrGraph frozen(g);
+/// rebuilt from the untuned parts — the reference move phase, the
+/// coarsening oracle, projection back and, for PLMR, one reference sweep
+/// after the prolongation.
+Partition referenceLevel(const CsrGraph& g, const PlmConfig& config) {
     Partition zeta(g.upperNodeIdBound());
     zeta.allToSingletons();
     const count moves = Plm::movePhaseReference(
-        frozen, zeta, config.gamma, config.maxMoveIterations, nullptr);
+        g, zeta, config.gamma, config.maxMoveIterations, nullptr);
     if (moves == 0) return zeta;
 
-    const CoarseningResult coarse =
-        ParallelPartitionCoarsening(config.parallelCoarsening).run(g, zeta);
-    if (coarse.coarseGraph.numberOfNodes() >= g.numberOfNodes()) return zeta;
+    OracleCoarsening coarse = oracleCoarsening(g, zeta);
+    const CsrGraph coarseGraph(std::move(coarse.offsets),
+                               std::move(coarse.neighbors),
+                               std::move(coarse.weights), /*weighted=*/true);
+    if (coarseGraph.numberOfNodes() >= g.numberOfNodes()) return zeta;
 
-    zeta = ClusteringProjector::projectBack(
-        referenceLevel(coarse.coarseGraph, config), coarse.fineToCoarse);
+    zeta = ClusteringProjector::projectBack(referenceLevel(coarseGraph, config),
+                                            coarse.fineToCoarse);
     if (config.refine) {
         zeta.setUpperBound(static_cast<node>(
             std::max<count>(zeta.upperBound(), g.upperNodeIdBound())));
-        Plm::movePhaseReference(frozen, zeta, config.gamma,
+        Plm::movePhaseReference(g, zeta, config.gamma,
                                 config.maxMoveIterations, nullptr);
     }
     return zeta;
 }
 
 Partition referencePlm(const Graph& g, const PlmConfig& config) {
-    Partition zeta = referenceLevel(g, config);
+    Partition zeta = referenceLevel(CsrGraph(g), config);
     zeta.setUpperBound(static_cast<node>(g.upperNodeIdBound()));
     zeta.compact();
     return zeta;
@@ -147,20 +151,24 @@ TEST_P(CsrEquivalence, QualityKernelsMatch) {
                 Modularity().getQuality(zeta, csr), 1e-9);
 }
 
-TEST_P(CsrEquivalence, CoarseningPathsAgree) {
+TEST_P(CsrEquivalence, CoarseningMatchesOracle) {
     const auto& [family, seed] = GetParam();
     const Graph g = makeInstance(family, seed);
     Random::setSeed(seed + 20);
     const Partition zeta = Plp().run(g);
 
-    const ParallelPartitionCoarsening coarsener(true);
-    const CoarseningResult viaGraph = coarsener.run(g, zeta);
-    const CsrCoarseningResult viaCsr = coarsener.run(CsrGraph(g), zeta);
+    const CsrCoarseningResult got =
+        ParallelPartitionCoarsening().run(CsrGraph(g), zeta);
+    const OracleCoarsening want = oracleCoarsening(CsrGraph(g), zeta);
 
-    EXPECT_EQ(viaGraph.fineToCoarse, viaCsr.fineToCoarse);
-    const Graph coarseBack = viaCsr.coarseGraph.toGraph();
+    EXPECT_EQ(got.fineToCoarse, want.fineToCoarse);
+    EXPECT_EQ(got.coarseGraph.offsets(), want.offsets);
+    EXPECT_EQ(got.coarseGraph.neighborArray(), want.neighbors);
+    // Unweighted input: every coarse weight is an exact integer sum.
+    EXPECT_EQ(got.coarseGraph.weightArray(), want.weights);
+    EXPECT_EQ(got.coarseGraph.totalEdgeWeight(), want.totalWeight);
+    const Graph coarseBack = got.coarseGraph.toGraph();
     coarseBack.checkConsistency();
-    EXPECT_TRUE(viaGraph.coarseGraph.structurallyEquals(coarseBack));
 }
 
 TEST_P(CsrEquivalence, PlmAndPlmrPartitionsBitIdenticalSingleThreaded) {

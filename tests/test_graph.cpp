@@ -108,6 +108,24 @@ TEST(Graph, RemoveSelfLoop) {
     g.checkConsistency();
 }
 
+TEST(Graph, RemoveOneInstanceOfRepeatedEdgeFromBothRows) {
+    // Removing {0,2} swaps row 0's last entry, {0,1} weight 2, ahead of
+    // {0,1} weight 1, while row 1 keeps its instances in insertion order.
+    // Removing {0,1} must then drop the same instance from both rows.
+    Graph g(3, true);
+    g.addEdge(0, 2, 9.0);
+    g.addEdge(0, 1, 1.0);
+    g.addEdge(0, 1, 2.0);
+    g.removeEdge(0, 2);
+    g.removeEdge(0, 1);
+    EXPECT_EQ(g.numberOfEdges(), 1u);
+    EXPECT_EQ(g.degree(0), 1u);
+    EXPECT_EQ(g.degree(1), 1u);
+    EXPECT_DOUBLE_EQ(g.weight(0, 1), g.weight(1, 0));
+    EXPECT_DOUBLE_EQ(g.totalEdgeWeight(), g.weight(0, 1));
+    g.checkConsistency();
+}
+
 TEST(Graph, RemoveNode) {
     Graph g = triangleWithTail();
     g.removeNode(2);
@@ -199,14 +217,6 @@ TEST(Graph, NodeIdsSkipsRemoved) {
     EXPECT_EQ(g.nodeIds(), (std::vector<node>{0, 2, 3}));
 }
 
-TEST(Graph, ToWeightedPreservesStructure) {
-    Graph g = triangleWithTail();
-    Graph w = g.toWeighted();
-    EXPECT_TRUE(w.isWeighted());
-    EXPECT_TRUE(w.structurallyEquals(g));
-    w.checkConsistency();
-}
-
 TEST(Graph, StructurallyEqualsDetectsDifference) {
     Graph a = triangleWithTail();
     Graph b = triangleWithTail();
@@ -257,16 +267,6 @@ TEST(GraphBuilder, DedupRemovesDuplicatesBothOrientations) {
     Graph g = builder.build(/*dedup=*/true);
     EXPECT_EQ(g.numberOfEdges(), 2u);
     EXPECT_EQ(g.degree(0), 1u);
-    g.checkConsistency();
-}
-
-TEST(GraphBuilder, DedupSumsWeights) {
-    GraphBuilder builder(2, true);
-    builder.addEdge(0, 1, 1.5);
-    builder.addEdge(1, 0, 2.5);
-    Graph g = builder.build(/*dedup=*/true, /*sumWeights=*/true);
-    EXPECT_EQ(g.numberOfEdges(), 1u);
-    EXPECT_DOUBLE_EQ(g.weight(0, 1), 4.0);
     g.checkConsistency();
 }
 
@@ -326,7 +326,7 @@ TEST(GraphTools, InducedSubgraphRejectsDuplicates) {
 TEST(GraphTools, RandomNodeOrderIsPermutation) {
     Random::setSeed(12);
     Graph g(50, false);
-    auto order = GraphTools::randomNodeOrder(g);
+    auto order = GraphTools::randomNodeOrder(CsrGraph(g));
     std::sort(order.begin(), order.end());
     EXPECT_EQ(order, g.nodeIds());
 }

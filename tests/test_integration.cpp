@@ -85,8 +85,8 @@ TEST(Integration, CommunityGraphVisualizationPipeline) {
     Partition zeta = Plm().run(g);
     zeta.compact();
 
-    const CoarseningResult result =
-        ParallelPartitionCoarsening().run(g, zeta);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), zeta);
     const auto sizes = zeta.subsetSizes();
     io::writeCommunityGraphDot(result.coarseGraph, sizes,
                                (dir / "communities.dot").string());

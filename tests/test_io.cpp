@@ -201,7 +201,7 @@ TEST_F(IoTest, CommunityGraphDot) {
     Graph cg(2, true);
     cg.addEdge(0, 1, 3.0);
     cg.addEdge(0, 0, 10.0);
-    io::writeCommunityGraphDot(cg, {50, 20}, path("cg.dot"));
+    io::writeCommunityGraphDot(CsrGraph(cg), {50, 20}, path("cg.dot"));
     std::ifstream in(path("cg.dot"));
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());

@@ -4,10 +4,10 @@
 // on a real-weighted copy and on its integer-weighted level-1 coarse graph;
 // the full sweep's skip of nodes that cannot move must keep that identity,
 // end every converged phase on a certified sweep, and actually skip. The
-// semantic opt-ins (active-set frontier, vertex following, PLP frontier
-// sweeps) are pinned by their own property and regression tests. Plus unit
-// coverage for the building blocks: ThreadLocalPool,
-// VertexFollowing::reduce.
+// semantic opt-ins (active-set frontier, vertex following) are pinned by
+// their own property tests, and the multi-thread bucketed sweep is run on
+// an input large enough to reach it. Plus unit coverage for the building
+// blocks: ThreadLocalPool, VertexFollowing::reduce.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "coarsening/parallel_coarsening.hpp"
 #include "community/plm.hpp"
-#include "community/plp.hpp"
 #include "community/vertex_following.hpp"
 #include "generators/barabasi_albert.hpp"
 #include "generators/erdos_renyi.hpp"
@@ -52,23 +51,13 @@ std::string familyLabel(
            std::to_string(std::get<1>(info.param));
 }
 
-/// The kernel-config grid every bit-identity test sweeps: both schedules,
-/// including off-default bucket thresholds (which must not matter
-/// single-threaded, where bucketing degenerates to the flat sweep).
+/// The kernel-config grid every bit-identity test sweeps: both schedules
+/// (the bucketed default must not matter single-threaded, where bucketing
+/// degenerates to the flat sweep).
 std::vector<std::pair<std::string, PlmKernelConfig>> kernelGrid() {
-    std::vector<std::pair<std::string, PlmKernelConfig>> grid;
-    PlmKernelConfig c;
-
-    c = {};
-    c.schedule = PlmSweepSchedule::Flat;
-    grid.emplace_back("flat", c);
-
-    c = {};
-    c.lowDegreeMax = 1;
-    c.hubDegreeMin = 2;
-    grid.emplace_back("default_extreme_buckets", c);
-
-    return grid;
+    PlmKernelConfig flat;
+    flat.schedule = PlmSweepSchedule::Flat;
+    return {{"flat", flat}, {"default", PlmKernelConfig{}}};
 }
 
 /// A copy of g with every edge weighted 0.1 + U[0,1): on real weights the
@@ -299,6 +288,59 @@ TEST(MoveKernelSkip, SkipsConvergedNodesOnRmatS13) {
         << sweeps.size() << " sweeps";
 }
 
+// --- the bucketed sweep -----------------------------------------------------
+
+TEST(MoveKernelBuckets, BucketedSweepRunsOnRmatS16) {
+    // The default schedule buckets a multi-thread sweep of at least 2^15
+    // work items (nodes with non-empty rows; kBucketedMinWork in plm.cpp)
+    // by degree: below PlmKernelConfig::lowDegreeMax (32) static, from
+    // hubDegreeMin (256) dynamic, guided in between. The input is built
+    // on one thread: the generator is slow under TSan with several
+    // threads.
+    CsrGraph csr;
+    {
+        SingleThreadScope once;
+        Random::setSeed(5);
+        csr = CsrGraph(RmatGenerator(16, 8).generate());
+    }
+    count work = 0;
+    count low = 0;
+    count hub = 0;
+    csr.forNodes([&](node u) {
+        const count deg = csr.degree(u);
+        if (deg == 0) return;
+        ++work;
+        if (deg < 32) ++low;
+        if (deg >= 256) ++hub;
+    });
+    ASSERT_GE(work, count{1} << 15);
+    ASSERT_GT(low, 0u);
+    ASSERT_GT(work - low - hub, 0u);
+    ASSERT_GT(hub, 0u);
+
+    Partition zeta(csr.upperNodeIdBound());
+    zeta.allToSingletons();
+    IterationTracer tracer;
+    count moves = 0;
+    {
+        ThreadCountScope scope(4);
+        moves = Plm::movePhase(csr, zeta, 1.0, 64, &tracer);
+    }
+    ASSERT_TRUE(zeta.isComplete());
+    for (node u = 0; u < csr.upperNodeIdBound(); ++u) {
+        ASSERT_LT(zeta[u], zeta.upperBound()) << u;
+    }
+    const std::vector<IterationRecord>& sweeps = tracer.records();
+    ASSERT_FALSE(sweeps.empty());
+    count traced = 0;
+    for (const IterationRecord& sweep : sweeps) traced += sweep.updated;
+    EXPECT_EQ(moves, traced);
+    if (sweeps.back().updated == 0) {
+        SingleThreadScope once;
+        EXPECT_EQ(Plm::movePhaseReference(csr, zeta, 1.0, 1, nullptr), 0u);
+    }
+}
+
 // --- vertex following -------------------------------------------------------
 
 class VertexFollowingProperty
@@ -433,47 +475,6 @@ TEST(VertexFollowing, NoPendantsIsANoOp) {
         VertexFollowing::reduce(CsrGraph(g));
     EXPECT_EQ(reduction.collapsed, 0u);
     for (node u = 0; u < 3; ++u) EXPECT_EQ(reduction.anchor[u], u);
-}
-
-// --- PLP frontier sweeps ----------------------------------------------------
-
-TEST(PlpFrontier, IterationCountPinnedOnFixedSeed) {
-    // Regression pin: single-threaded with a fixed seed the frontier sweep
-    // is fully deterministic. If this count drifts, the frontier semantics
-    // changed — update deliberately, not accidentally.
-    SingleThreadScope once;
-    Random::setSeed(7);
-    const Graph g = ErdosRenyiGenerator(600, 0.015).generate();
-
-    PlpConfig flag;
-    PlpConfig frontier;
-    frontier.frontierSweep = true;
-
-    Random::setSeed(77);
-    Plp flagPlp(flag);
-    const Partition a = flagPlp.run(g);
-    Random::setSeed(77);
-    Plp frontierPlp(frontier);
-    const Partition b = frontierPlp.run(g);
-
-    EXPECT_EQ(flagPlp.iterations(), 6u);
-    EXPECT_EQ(frontierPlp.iterations(), 10u);
-
-    // Both modes converge to comparable quality on the same input.
-    const double qa = Modularity().getQuality(a, g);
-    const double qb = Modularity().getQuality(b, g);
-    EXPECT_GE(qb, qa - 0.05);
-}
-
-TEST(PlpFrontier, FrontierMatchesFlagModeQualityMultiThreaded) {
-    Random::setSeed(11);
-    const Graph g = BarabasiAlbertGenerator(1000, 3).generate();
-    PlpConfig frontier;
-    frontier.frontierSweep = true;
-    const Partition zeta = Plp(frontier).run(g);
-    for (node u = 0; u < g.upperNodeIdBound(); ++u) {
-        ASSERT_LT(zeta[u], zeta.upperBound());
-    }
 }
 
 // --- ThreadLocalPool --------------------------------------------------------

@@ -141,7 +141,8 @@ TEST_P(CoarseningAlgebra, WeightAndVolumeConservation) {
     }
     p.setUpperBound(static_cast<node>(k));
 
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_NEAR(result.coarseGraph.totalEdgeWeight(), g.totalEdgeWeight(),
                 1e-6);
 
@@ -167,10 +168,13 @@ TEST_P(CoarseningAlgebra, SequentialEqualsParallel) {
         p.set(v, static_cast<node>(Random::integer(16)));
     }
     p.setUpperBound(16);
-    const CoarseningResult a = ParallelPartitionCoarsening(true).run(g, p);
-    const CoarseningResult b = ParallelPartitionCoarsening(false).run(g, p);
+    const CsrGraph csr(g);
+    const CsrCoarseningResult a = ParallelPartitionCoarsening(true).run(csr, p);
+    const CsrCoarseningResult b =
+        ParallelPartitionCoarsening(false).run(csr, p);
     EXPECT_EQ(a.fineToCoarse, b.fineToCoarse);
-    EXPECT_TRUE(a.coarseGraph.structurallyEquals(b.coarseGraph));
+    EXPECT_TRUE(
+        a.coarseGraph.toGraph().structurallyEquals(b.coarseGraph.toGraph()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
