@@ -11,11 +11,11 @@
 //     contract: group-commit durability sustains >= 0.5x the volatile
 //     rate (gated loosely in CI as durable_vs_volatile).
 //   * recovery — build a long single-segment log (checkpointInterval
-//     past the record count, so nothing rotates), then time
-//     StreamingGraph::recover end to end: checkpoint load, Strict replay
-//     of every record, fresh checkpoint, prune. The log directory is
-//     copied aside per repetition because recovery itself rotates and
-//     prunes the log it replays.
+//     past the record count, so nothing rotates), then time the
+//     StreamingGraph recovery constructor end to end: checkpoint load,
+//     Strict replay of every record, fresh checkpoint, prune. The log
+//     directory is copied aside per repetition because recovery itself
+//     rotates and prunes the log it replays.
 //
 // Variant timings are interleaved round-robin after a warmup (minima
 // reported), the house discipline from micro_plm_kernels. Emits

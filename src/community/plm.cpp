@@ -854,8 +854,7 @@ count Plm::movePhaseReference(const CsrGraph& g, Partition& zeta, double gamma,
 count Plm::movePhaseSeeded(const CsrGraph& g, Partition& zeta, double gamma,
                            count maxIterations,
                            const std::vector<node>& seed, node splitBase,
-                           count* evaluatedNodes,
-                           const PlmKernelConfig& kernel) {
+                           count* evaluatedNodes) {
     if (splitBase != none) {
         require(static_cast<count>(splitBase) + g.upperNodeIdBound() <=
                     zeta.upperBound(),
@@ -863,8 +862,8 @@ count Plm::movePhaseSeeded(const CsrGraph& g, Partition& zeta, double gamma,
                 "reserved split-off range [splitBase, splitBase + bound)");
     }
     const SeededSweep restriction{&seed, splitBase, evaluatedNodes};
-    return movePhaseTuned(g, zeta, gamma, maxIterations, nullptr, kernel,
-                          &restriction);
+    return movePhaseTuned(g, zeta, gamma, maxIterations, nullptr,
+                          PlmKernelConfig{}, &restriction);
 }
 
 count Plm::movePhaseCachedMaps(const CsrGraph& g, Partition& zeta,
@@ -877,20 +876,16 @@ Partition Plm::runRecursive(const CsrGraph& g, count level,
     Partition zeta(g.upperNodeIdBound());
     zeta.allToSingletons();
 
-    PlmLevelInfo info;
-    info.nodes = g.numberOfNodes();
-    info.edges = g.numberOfEdges();
-
-    IterationTracer moveTracer;
-    const count moves =
-        moveNodes(g, zeta, config_, tracer_ ? &moveTracer : nullptr);
-    info.moveIterations = moveTracer.records().size();
-    info.totalMoves = moves;
-    levels_.push_back(info);
+    levels_.push_back(PlmLevelInfo{g.numberOfNodes()});
+    count moves = 0;
     if (tracer_) {
+        IterationTracer moveTracer;
+        moves = moveNodes(g, zeta, config_, &moveTracer);
         for (const auto& r : moveTracer.records()) {
             tracer_->record(level * 1000 + r.iteration, r.active, r.updated);
         }
+    } else {
+        moves = moveNodes(g, zeta, config_, nullptr);
     }
 
     if (moves == 0) return zeta; // ζ unchanged: recursion bottoms out

@@ -110,9 +110,6 @@ struct PlmConfig {
 /// Per-level record of a PLM run, for scaling analyses and tests.
 struct PlmLevelInfo {
     count nodes = 0;
-    count edges = 0;
-    count moveIterations = 0;
-    count totalMoves = 0;
 };
 
 class Plm : public CommunityDetector {
@@ -157,14 +154,15 @@ public:
                                     IterationTracer* tracer);
 
     /// Seeded restricted move phase — the incremental re-detection entry
-    /// of the streaming engine (community/streaming_update.hpp). Iteration
-    /// 0 evaluates only `seed` (the nodes a batch touched); later
-    /// iterations ride the PR-6 active-set frontier, so cost scales with
-    /// the perturbation, not n. `zeta` must be complete over g with labels
-    /// < zeta.upperBound(). When `splitBase != none`, node u may also
-    /// split off into its own reserved empty community `splitBase + u`
-    /// (required after deletions; zeta.upperBound() must cover
-    /// splitBase + upperNodeIdBound()). `evaluatedNodes`, if non-null,
+    /// of the streaming engine (community/streaming_update.hpp), run by
+    /// the tuned kernel with its default tuning. Iteration 0 evaluates
+    /// only `seed` (the nodes a batch touched that have a row, in
+    /// ascending order); later iterations ride the active-set frontier, so
+    /// cost scales with the perturbation, not n. `zeta` must be complete
+    /// over g with labels < zeta.upperBound(). When `splitBase != none`,
+    /// node u may also split off into its own reserved empty community
+    /// `splitBase + u` (required after deletions; zeta.upperBound() must
+    /// cover splitBase + upperNodeIdBound()). `evaluatedNodes`, if non-null,
     /// receives the number of DISTINCT nodes evaluated across iterations —
     /// the re-activation metric BENCH_stream.json reports. A move is
     /// accepted on any positive Δmodularity, exactly as in movePhase: a
@@ -174,8 +172,7 @@ public:
     static count movePhaseSeeded(const CsrGraph& g, Partition& zeta,
                                  double gamma, count maxIterations,
                                  const std::vector<node>& seed,
-                                 node splitBase, count* evaluatedNodes,
-                                 const PlmKernelConfig& kernel = {});
+                                 node splitBase, count* evaluatedNodes);
 
     /// The abandoned first implementation (per-node cached maps + locks),
     /// same contract as movePhase. Exposed for the strategy ablation.

@@ -2,59 +2,43 @@
 // Incremental community detection over the streaming engine
 // (DESIGN.md "Streaming updates and snapshot isolation").
 //
-// StreamingPlm / StreamingPlp keep a partition continuously up to date
-// across StreamingGraph generations: initialize() runs the full static
-// detector once on a snapshot, and applyBatch() re-detects after each
-// published batch by SEEDING from the previous partition and re-activating
-// only the nodes the batch touched (BatchResult::touched), following the
-// dynamic-update strategy of Staudt & Meyerhenke (arXiv:1304.4453). The
-// sweeps then ride the PR-6 active-set frontier: a move re-activates only
-// the mover's neighbors, so re-detection cost scales with the size of the
-// perturbation, not with n — lastReactivated() reports the number of
-// DISTINCT nodes re-activated, the locality metric BENCH_stream.json
-// tracks. Seeded PLM moves take any positive modularity gain, as the
-// static sweep does; each batch costs two linear-time compactions.
+// StreamingPlm keeps a partition continuously up to date across
+// StreamingGraph generations: initialize() runs static PLM once on a
+// snapshot, and applyBatch() re-detects after each published batch by
+// SEEDING from the previous partition and re-activating only the nodes the
+// batch touched (BatchResult::touched), following the dynamic-update
+// strategy of Staudt & Meyerhenke (arXiv:1304.4453). The sweeps then ride
+// the active-set frontier of PLM's tuned kernel (Plm::movePhaseSeeded): a
+// move re-activates only the mover's neighbors, so re-detection cost
+// scales with the size of the perturbation, not with n — lastReactivated()
+// reports the number of DISTINCT nodes re-activated, the locality metric
+// BENCH_stream.json tracks. Seeded moves take any positive modularity
+// gain, as the static sweep does; each batch costs two linear-time
+// compactions.
 //
-// Both detectors are single-writer objects: applyBatch() must be called
-// once per published generation, in order, by one thread (internally the
+// StreamingPlm is a single-writer object: applyBatch() must be called once
+// per published generation, in order, by one thread (internally the
 // sweeps are parallel). Readers of the partition must not overlap an
 // applyBatch() call — snapshot the Partition (cheap copy) if needed.
 
 #include <vector>
 
 #include "community/plm.hpp"
-#include "community/plp.hpp"
 #include "graph/csr_graph.hpp"
 #include "structures/partition.hpp"
 #include "support/common.hpp"
 
 namespace grapr {
 
-struct StreamingPlmConfig {
-    /// Resolution parameter of the seeded move phase (and the cold start,
-    /// which uses cold.gamma — keep them equal for meaningful deltas).
-    double gamma = 1.0;
-    /// Cap on seeded move sweeps per batch. Seeded moves take any positive
-    /// Δmodularity, the static rule (Plm::movePhaseSeeded).
-    count maxSweeps = 32;
-    /// Static detector config for initialize().
-    PlmConfig cold = {};
-    /// Kernel tuning of the seeded sweeps.
-    PlmKernelConfig kernel = {};
-};
-
 /// Incremental PLM: warm-starts every batch from the converged previous
 /// partition. Each applyBatch compacts the community ids to [0, k),
 /// reserves the empty split-off range [k, k + bound) (node u may leave for
 /// community k + u when deletions strand it — see Plm::movePhaseSeeded),
 /// rebuilds community volumes for the new generation, and runs the seeded
-/// restricted move phase from the touched-node frontier.
+/// move phase (γ = 1, at most 32 sweeps) from the touched-node frontier.
 class StreamingPlm {
 public:
-    explicit StreamingPlm(StreamingPlmConfig config = {})
-        : config_(config) {}
-
-    /// Full static detection on `g` (Plm::run on the CsrGraph with config_.cold).
+    /// Full static detection on `g`: default Plm::run.
     void initialize(const CsrGraph& g);
 
     /// Incremental re-detection on the post-batch snapshot `g`, seeded
@@ -73,43 +57,9 @@ public:
     count lastMoves() const noexcept { return lastMoves_; }
 
 private:
-    StreamingPlmConfig config_;
     Partition zeta_;
     count lastReactivated_ = 0;
     count lastMoves_ = 0;
-    bool initialized_ = false;
-};
-
-struct StreamingPlpConfig {
-    /// Cap on seeded label sweeps per batch.
-    count maxSweeps = 100;
-    /// Static detector config for initialize().
-    PlpConfig cold = {};
-};
-
-/// Incremental PLP: keeps the converged label array and re-propagates only
-/// from the touched frontier (dominant-label rule, smaller-id tie break,
-/// sticky labels — a node whose current label ties the dominant weight
-/// stays, so a converged region is a fixpoint and untouched nodes never
-/// churn).
-class StreamingPlp {
-public:
-    explicit StreamingPlp(StreamingPlpConfig config = {})
-        : config_(config) {}
-
-    void initialize(const CsrGraph& g);
-    void applyBatch(const CsrGraph& g, const std::vector<node>& touched);
-
-    bool initialized() const noexcept { return initialized_; }
-    const Partition& labels() const noexcept { return zeta_; }
-    count lastReactivated() const noexcept { return lastReactivated_; }
-    count lastSweeps() const noexcept { return lastSweeps_; }
-
-private:
-    StreamingPlpConfig config_;
-    Partition zeta_;
-    count lastReactivated_ = 0;
-    count lastSweeps_ = 0;
     bool initialized_ = false;
 };
 

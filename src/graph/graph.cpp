@@ -131,23 +131,6 @@ bool Graph::hasEdge(node u, node v) const {
     return indexOfNeighbor(u, v) != npos;
 }
 
-void Graph::increaseWeight(node u, node v, edgeweight delta
-                               GRAPR_VIEW_SITE_ARG) {
-    require(weighted_, "increaseWeight: graph is unweighted");
-    const index iu = indexOfNeighbor(u, v);
-    if (iu == npos) {
-        addEdge(u, v, delta GRAPR_VIEW_SITE_FWD);
-        return;
-    }
-    GRAPR_VIEW_BUMP(viewSourceStamp_);
-    weights_[u][iu] += delta;
-    if (u != v) {
-        const index iv = indexOfNeighbor(v, u);
-        weights_[v][iv] += delta;
-    }
-    totalWeight_ += delta;
-}
-
 edgeweight Graph::weight(node u, node v) const {
     const index iu = indexOfNeighbor(u, v);
     if (iu == npos) return 0.0;

@@ -76,11 +76,6 @@ public:
     /// graph stays unmodified (see hasSortedNeighborLists).
     bool hasEdge(node u, node v) const;
 
-    /// Increase the weight of existing edge {u,v} by delta (weighted graphs
-    /// only); if the edge does not exist it is created with weight delta.
-    void increaseWeight(node u, node v, edgeweight delta
-                            GRAPR_VIEW_SITE_PARAM);
-
     /// Weight of edge {u,v}; 0 if absent, 1 for present edges of an
     /// unweighted graph.
     edgeweight weight(node u, node v) const;

@@ -44,8 +44,10 @@ struct EdgeOp {
     Kind kind = Kind::Insert;
     node u = 0;
     node v = 0;
-    /// Weight of an insert (ignored by unweighted engines and by Remove;
-    /// the inverse of a remove re-inserts the *observed* weight).
+    /// Weight of an insert: finite and non-negative on a weighted engine,
+    /// which rejects the batch otherwise (ignored by unweighted engines
+    /// and by Remove; the inverse of a remove re-inserts the *observed*
+    /// weight).
     edgeweight w = 1.0;
 };
 
@@ -85,11 +87,9 @@ public:
     }
     void remove(node u, node v) { pending_.remove(u, v); }
 
-    count pendingOps() const noexcept { return pending_.size(); }
-
     /// Seal the pending ops into a batch and apply it; the inverse batch
     /// is pushed onto the undo stack. Returns the engine's BatchResult.
-    /// On a Strict-mode error the pending ops are kept for inspection.
+    /// On an error the pending ops stay pending.
     BatchResult commit(StreamApplyMode mode = StreamApplyMode::Strict);
 
     /// Apply a pre-built batch (pending ops are untouched).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -58,7 +59,9 @@ struct NetEdge {
 /// `replay`. An edge met for the first time is seeded with its state
 /// before the batch, `seed(a, b)` (its weight, or nullopt when absent),
 /// so Strict validity follows the evolving state, not just the base.
-/// Returns the number of ops Permissive mode ignored.
+/// On a weighted engine an insert's weight must be finite and
+/// non-negative, in both modes. Returns the number of ops Permissive mode
+/// ignored.
 template <class Seed>
 count normalizeOps(const EdgeBatch& batch, StreamApplyMode mode,
                    bool weighted, ReplayMap& replay, const Seed& seed) {
@@ -66,6 +69,10 @@ count normalizeOps(const EdgeBatch& batch, StreamApplyMode mode,
     for (const EdgeOp& op : batch.ops()) {
         require(op.u != none && op.v != none,
                 "StreamingGraph::apply: op names the `none` sentinel node");
+        require(!weighted || op.kind != EdgeOp::Kind::Insert ||
+                    (std::isfinite(op.w) && op.w >= 0.0),
+                "StreamingGraph::apply: insert weight is NaN, infinite or "
+                "negative");
         const node a = std::min(op.u, op.v);
         const node b = std::max(op.u, op.v);
         auto [it, fresh] = replay.try_emplace(edgeKey(a, b));
@@ -312,8 +319,8 @@ CsrGraph foldWalTail(const CsrGraph& base,
 }
 
 /// Re-wrap a frozen CsrGraph's arrays so the stored snapshot has a
-/// disengaged view stamp (snapshot staleness is the engine's business,
-/// tracked by its own generation cell — see stream_engine.hpp).
+/// disengaged view stamp: a snapshot outlives the Graph it may have been
+/// frozen from, and never goes stale (see stream_engine.hpp).
 CsrGraph rewrapDisengaged(const CsrGraph& frozen, bool weighted) {
     return CsrGraph(frozen.offsets(), frozen.neighborArray(),
                     frozen.weightArray(), weighted);
@@ -605,13 +612,8 @@ StreamingGraph::StreamingGraph(const std::string& dir,
 
     // 3. Make the recovered state the new durable base: fresh checkpoint,
     //    fresh segment, superseded files pruned. Bounds the next
-    //    recovery's replay and makes recover() idempotent.
+    //    recovery's replay and makes recovery idempotent.
     enableDurability(dir, options);
-}
-
-StreamingGraph StreamingGraph::recover(const std::string& dir,
-                                       DurabilityOptions options) {
-    return StreamingGraph(dir, options);
 }
 
 StreamingGraph::~StreamingGraph() = default;
@@ -668,9 +670,7 @@ void StreamingGraph::checkpointNow() {
                         snap->generation, durable_->options.groupCommit);
     durable_->wal = std::move(next); // closes the superseded segment
     durable_->sinceCheckpoint = 0;
-    if (durable_->options.pruneOnCheckpoint) {
-        pruneDurableDir(durable_->dir, snap->generation);
-    }
+    pruneDurableDir(durable_->dir, snap->generation);
 }
 
 void StreamingGraph::maybeCheckpoint() {
@@ -716,25 +716,17 @@ SnapshotPtr StreamingGraph::pin() const {
     return head_;
 }
 
-StreamView StreamingGraph::current(GRAPR_VIEW_SITE_ARG0) const {
-#ifdef GRAPR_VIEW_CHECK
-    return StreamView(pin(), view::ViewStamp(stamp_, graprViewSite_));
-#else
-    return StreamView(pin());
-#endif
-}
-
 void StreamingGraph::publish(SnapshotPtr next) {
     std::lock_guard<std::mutex> lock(headMutex_);
     head_ = std::move(next);
 }
 
 BatchResult StreamingGraph::apply(const EdgeBatch& batch,
-                                  StreamApplyMode mode GRAPR_VIEW_SITE_ARG) {
+                                  StreamApplyMode mode) {
     std::lock_guard<std::mutex> writerLock(writerMutex_);
     if (poisoned_) {
         fail("StreamingGraph::apply: engine is poisoned after a failed "
-             "commit (" + poisonReason_ + "); recover() from the durable "
+             "commit (" + poisonReason_ + "); recover from the durable "
              "directory or start a fresh engine");
     }
     const SnapshotPtr base = pin();
@@ -757,7 +749,7 @@ BatchResult StreamingGraph::apply(const EdgeBatch& batch,
     // --- reduce to net per-edge effects, deterministically ordered -------
     const NetLists net = reduceNet(replay, equalWeights);
     if (net.empty()) {
-        return result; // no net effect: nothing published, views stay valid
+        return result; // no net effect: nothing published
     }
     result.reweighted = net.reweighted;
     result.inserted = net.ins.size() - net.reweighted;
@@ -806,9 +798,6 @@ BatchResult StreamingGraph::apply(const EdgeBatch& batch,
         poison("commit interrupted between WAL append and publish");
         throw;
     }
-    // Borrowed views of generation N are stale from this point on; the
-    // bump records the publish site for the GRAPR_VIEW_CHECK report.
-    GRAPR_VIEW_BUMP(stamp_);
     maybeCheckpoint();
     return result;
 }

@@ -3,11 +3,8 @@
 // (DESIGN.md "Streaming updates and snapshot isolation").
 //
 // The engine holds one *published* immutable generation at a time. Readers
-// either pin() a generation (a shared_ptr keeps the whole snapshot alive
-// for as long as they hold it — safe across arbitrarily many publishes) or
-// take a lightweight current() view (borrowed, valid only until the next
-// publish; GRAPR_VIEW_CHECK builds abort a view that crosses the publish
-// boundary, naming both the acquisition and the publish site). Writers
+// pin() a generation: the shared_ptr keeps the whole snapshot alive for as
+// long as they hold it, safe across arbitrarily many publishes. Writers
 // submit EdgeBatches through apply()/GraphLog::commit(): the batch is
 // normalized against the frozen base, assembled into generation N+1 by the
 // parallel delta-CSR merge (structures/delta_csr.hpp) while readers keep
@@ -17,12 +14,12 @@
 //
 //   assembling ──publish──▶ current ──next publish──▶ retired ──▶ freed
 //                              │                        │
-//                        pin()/current()          pinned readers keep
-//                           serve it              serving it; freed when
+//                           pin()                 pinned readers keep
+//                        serves it                serving it; freed when
 //                                                 the last pin drops
 //
 // Concurrency contract:
-//   - any number of concurrent readers, via pin() or current();
+//   - any number of concurrent readers, via pin();
 //   - concurrent writers are serialized on an internal writer mutex
 //     (batches apply atomically, in some total order);
 //   - readers never block writers and vice versa beyond the O(1)
@@ -40,50 +37,18 @@
 #include "graph/graph.hpp"
 #include "graph/graph_log.hpp"
 #include "support/common.hpp"
-#include "support/view_check.hpp"
 
 namespace grapr {
 
 /// One immutable published generation. The CsrGraph is assembled from raw
-/// arrays, so its own view stamp is disengaged — staleness of *borrowed*
-/// engine views is tracked by the engine's generation cell instead, and
-/// pinned snapshots are immortal-while-held by design.
+/// arrays, so its view stamp is disengaged: a snapshot never goes stale,
+/// and a pinned one is immortal while held.
 struct StreamSnapshot {
     std::uint64_t generation = 0;
     CsrGraph graph;
 };
 
 using SnapshotPtr = std::shared_ptr<const StreamSnapshot>;
-
-/// Borrowed read handle on the engine's current generation. Holds the
-/// snapshot alive (memory-safe even if the engine publishes or dies), but
-/// the *contract* is that a StreamView is only read while its generation
-/// is still the published head — a reader that wants to survive publishes
-/// must pin() instead. GRAPR_VIEW_CHECK enforces the contract at runtime:
-/// graph() aborts after a publish, reporting where the view was taken and
-/// where the publish happened.
-class StreamView {
-public:
-    const CsrGraph& graph() const {
-        GRAPR_VIEW_ASSERT(stamp_);
-        return snapshot_->graph;
-    }
-    std::uint64_t generation() const noexcept {
-        return snapshot_->generation;
-    }
-
-private:
-    friend class StreamingGraph;
-#ifdef GRAPR_VIEW_CHECK
-    StreamView(SnapshotPtr snapshot, view::ViewStamp stamp)
-        : snapshot_(std::move(snapshot)), stamp_(stamp) {}
-    view::ViewStamp stamp_;
-#else
-    explicit StreamView(SnapshotPtr snapshot)
-        : snapshot_(std::move(snapshot)) {}
-#endif
-    SnapshotPtr snapshot_;
-};
 
 /// Outcome of one applied batch.
 struct BatchResult {
@@ -112,9 +77,6 @@ struct DurabilityOptions {
     /// Write a checkpoint and rotate the log after this many WAL
     /// records (bounds recovery replay time and log length).
     count checkpointInterval = 256;
-    /// Delete superseded checkpoints and segments after a successful
-    /// rotation (keep them for forensics by setting this to false).
-    bool pruneOnCheckpoint = true;
 };
 
 class StreamingGraph {
@@ -143,10 +105,6 @@ public:
     explicit StreamingGraph(const std::string& dir,
                             DurabilityOptions options = {});
 
-    /// Named alias of the recovery constructor.
-    static StreamingGraph recover(const std::string& dir,
-                                  DurabilityOptions options = {});
-
     ~StreamingGraph();
     StreamingGraph(const StreamingGraph&) = delete;
     StreamingGraph& operator=(const StreamingGraph&) = delete;
@@ -168,8 +126,9 @@ public:
     /// True after a commit failed in a way that left the durable log
     /// state unknown (e.g. a rollback of a failed append itself failed,
     /// or a failure hit between the WAL fsync and the publish). A
-    /// poisoned engine rejects every further apply(); recover() from the
-    /// durable directory to resume from the last consistent state.
+    /// poisoned engine rejects every further apply(); recover from the
+    /// durable directory (the recovery constructor) to resume from the
+    /// last consistent state.
     bool failed() const noexcept { return poisoned_; }
 
     /// Why failed() is true (empty otherwise).
@@ -188,20 +147,17 @@ public:
     /// isolation.
     SnapshotPtr pin() const;
 
-    /// Borrowed view of the current generation — cheap, but must not be
-    /// read after the next publish (see StreamView).
-    StreamView current(GRAPR_VIEW_SITE_PARAM0) const;
-
     /// Apply one batch atomically: normalize against the current head,
     /// assemble generation N+1 in parallel, publish by pointer swap.
     /// Readers of generation N are never blocked and never observe a
     /// partial batch. Strict mode throws (and changes nothing) on
     /// duplicate inserts / deletes of missing edges; Permissive counts
-    /// them in BatchResult::ignored. Thread-safe against concurrent
-    /// apply() calls (serialized) and against all readers.
+    /// them in BatchResult::ignored. On a weighted engine an insert whose
+    /// weight is NaN, infinite or negative throws in both modes (an
+    /// unweighted engine ignores EdgeOp::w). Thread-safe against
+    /// concurrent apply() calls (serialized) and against all readers.
     BatchResult apply(const EdgeBatch& batch,
-                      StreamApplyMode mode = StreamApplyMode::Strict
-                          GRAPR_VIEW_SITE_PARAM);
+                      StreamApplyMode mode = StreamApplyMode::Strict);
 
 private:
     void publish(SnapshotPtr next);
@@ -219,10 +175,6 @@ private:
     mutable std::mutex headMutex_; ///< guards head_ (reads and the swap)
     std::mutex writerMutex_;       ///< serializes apply()
     SnapshotPtr head_;
-#ifdef GRAPR_VIEW_CHECK
-    /// Bumped on every publish; borrowed StreamViews assert against it.
-    view::SourceStamp stamp_;
-#endif
 };
 
 /// Binary-search lookup of edge {u, v} in a sorted-row CSR. Returns the

@@ -171,12 +171,18 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
         scan::splitLineChunks(data + header.bodyOffset, end, threads);
     std::vector<MetisChunk> chunks(ranges.size());
     const int numChunks = static_cast<int>(ranges.size());
+    // Each region reads what the caller or an earlier region wrote; the
+    // fence shows TSan the fork and join edges of libgomp's (uninstrumented)
+    // team handoff. No-ops outside TSan builds.
+    Parallel::TsanJoinFence fence;
 
     // Pass 1: per chunk, count data rows and kept entries per row.
+    fence.open();
 #pragma omp parallel for default(none)                                       \
-    shared(ranges, chunks, data, header, options, numChunks)                 \
+    shared(ranges, chunks, data, header, options, numChunks, fence)          \
     num_threads(threads) schedule(static, 1)
     for (int c = 0; c < numChunks; ++c) {
+        fence.enter();
         const scan::Chunk& range = ranges[static_cast<std::size_t>(c)];
         MetisChunk& chunk = chunks[static_cast<std::size_t>(c)];
         const char* p = range.begin;
@@ -194,7 +200,9 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
             }
             p = lineEnd < range.end ? lineEnd + 1 : range.end;
         }
+        fence.arrive();
     }
+    fence.join();
 
     count droppedTokens = 0;
     for (const MetisChunk& chunk : chunks) {
@@ -249,10 +257,12 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
         firstRow[c + 1] = firstRow[c] + chunks[c].rowDegrees.size();
     }
     std::vector<count> degrees(header.n, 0);
+    fence.open();
 #pragma omp parallel for default(none)                                       \
-    shared(chunks, firstRow, degrees, header, numChunks)                     \
+    shared(chunks, firstRow, degrees, header, numChunks, fence)              \
     num_threads(threads) schedule(static, 1)
     for (int c = 0; c < numChunks; ++c) {
+        fence.enter();
         const auto uc = static_cast<std::size_t>(c);
         for (std::size_t r = 0; r < chunks[uc].rowDegrees.size(); ++r) {
             const count row = firstRow[uc] + r;
@@ -261,26 +271,37 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
             // is bounded by the slice width, which the lattice cannot see.
             if (row < header.n) degrees[row] = chunks[uc].rowDegrees[r];
         }
+        fence.arrive();
     }
+    fence.join();
     const count entries = Parallel::prefixSum(degrees);
     std::vector<index> offsets(header.n + 1);
     offsets[header.n] = entries;
     const auto sn = static_cast<std::int64_t>(header.n);
-#pragma omp parallel for default(none) shared(offsets, degrees, sn)          \
-    num_threads(threads) schedule(static)
-    for (std::int64_t v = 0; v < sn; ++v) {
-        offsets[static_cast<std::size_t>(v)] =
-            degrees[static_cast<std::size_t>(v)];
+    fence.open();
+#pragma omp parallel default(none) shared(offsets, degrees, sn, fence)       \
+    num_threads(threads)
+    {
+        fence.enter();
+#pragma omp for schedule(static)
+        for (std::int64_t v = 0; v < sn; ++v) {
+            offsets[static_cast<std::size_t>(v)] =
+                degrees[static_cast<std::size_t>(v)];
+        }
+        fence.arrive();
     }
+    fence.join();
 
     // Pass 2: re-tokenise and write every row's entries into its slice.
     std::vector<node> neighbors(entries);
     std::vector<edgeweight> weights(header.weighted ? entries : 0);
+    fence.open();
 #pragma omp parallel for default(none)                                       \
     shared(ranges, chunks, data, header, options, firstRow, offsets,         \
-               neighbors, weights, numChunks)                                \
+               neighbors, weights, numChunks, fence)                         \
     num_threads(threads) schedule(static, 1)
     for (int c = 0; c < numChunks; ++c) {
+        fence.enter();
         const auto uc = static_cast<std::size_t>(c);
         const scan::Chunk& range = ranges[uc];
         MetisChunk& chunk = chunks[uc];
@@ -314,7 +335,9 @@ CsrGraph parseMetisCsr(const char* data, std::size_t size,
             }
             p = lineEnd < range.end ? lineEnd + 1 : range.end;
         }
+        fence.arrive();
     }
+    fence.join();
 
     CsrGraph graph = [&] {
         try {

@@ -1,11 +1,11 @@
 // Crash-consistency harness for the durability subsystem (graph/wal,
-// io/binary_csr, StreamingGraph::recover) driven by the deterministic
-// fault-injection framework (support/fault).
+// io/binary_csr, StreamingGraph's recovery constructor) driven by the
+// deterministic fault-injection framework (support/fault).
 //
 // The core test enumerates every fault point the durable commit path
 // actually executes — by running the canonical workload once with
 // fault::captureSites() — and then, for each site and several hit
-// counts, re-execs this binary (like test_stream_isolation.cpp) with
+// counts, re-execs this binary (like test_race_check.cpp) with
 // GRAPR_FAULT="<site>:<n>:kill" so the child dies mid-commit with no
 // destructors, flushes, or atexit handlers. The parent recovers from the
 // durable directory and asserts the recovered CSR arrays are
@@ -885,7 +885,7 @@ TEST(CrashRecovery, FailedRollbackPoisonsTheEngine) {
                  std::runtime_error);
     EXPECT_THROW(engine.checkpoint(), std::runtime_error);
 
-    // recover() from the directory is the documented way out.
+    // Recovering from the directory is the documented way out.
     StreamingGraph recovered(dir.string(), crashOptions());
     EXPECT_FALSE(recovered.failed());
     recovered.apply(batch, StreamApplyMode::Permissive);

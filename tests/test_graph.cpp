@@ -155,26 +155,6 @@ TEST(Graph, AddEdgeChecked) {
     EXPECT_EQ(g.numberOfEdges(), 1u);
 }
 
-TEST(Graph, IncreaseWeightExistingAndNew) {
-    Graph g(3, true);
-    g.addEdge(0, 1, 1.0);
-    g.increaseWeight(0, 1, 2.0);
-    EXPECT_DOUBLE_EQ(g.weight(0, 1), 3.0);
-    g.increaseWeight(1, 2, 5.0); // creates the edge
-    EXPECT_DOUBLE_EQ(g.weight(1, 2), 5.0);
-    EXPECT_DOUBLE_EQ(g.totalEdgeWeight(), 8.0);
-    g.checkConsistency();
-}
-
-TEST(Graph, IncreaseWeightOnSelfLoop) {
-    Graph g(2, true);
-    g.addEdge(1, 1, 1.0);
-    g.increaseWeight(1, 1, 2.0);
-    EXPECT_DOUBLE_EQ(g.weight(1, 1), 3.0);
-    EXPECT_DOUBLE_EQ(g.volume(1), 6.0);
-    g.checkConsistency();
-}
-
 TEST(Graph, ForEdgesVisitsEachOnce) {
     Graph g = triangleWithTail();
     g.addEdge(3, 3); // loop
@@ -339,9 +319,9 @@ TEST(GraphTools, RandomNodeSkipsRemoved) {
 }
 
 TEST(Graph, RandomOperationSequenceStaysConsistent) {
-    // Fuzz-style: a random interleaving of insertions, deletions, weight
-    // updates and node removals must never break the structural
-    // invariants checked by checkConsistency().
+    // Fuzz-style: a random interleaving of insertions, deletions and node
+    // removals must never break the structural invariants checked by
+    // checkConsistency().
     Random::setSeed(200);
     Graph g(50, true);
     for (int step = 0; step < 2000; ++step) {
@@ -353,10 +333,8 @@ TEST(Graph, RandomOperationSequenceStaysConsistent) {
             if (!g.hasEdge(u, v)) {
                 g.addEdge(u, v, 0.5 + Random::real());
             }
-        } else if (op < 80) {
-            if (g.hasEdge(u, v)) g.removeEdge(u, v);
         } else if (op < 95) {
-            if (g.hasEdge(u, v)) g.increaseWeight(u, v, 0.25);
+            if (g.hasEdge(u, v)) g.removeEdge(u, v);
         } else if (g.numberOfNodes() > 10) {
             g.removeNode(u);
         }
@@ -421,7 +399,7 @@ TEST(Graph, SortedLookupsMatchLinearScan) {
     g.checkConsistency();
 }
 
-TEST(Graph, SortedRemoveAndIncreaseWeightStayCorrect) {
+TEST(Graph, SortedRemoveKeepsLookupsCorrect) {
     Graph g(5, true);
     g.addEdge(0, 3, 1.0);
     g.addEdge(0, 1, 2.0);
@@ -431,8 +409,7 @@ TEST(Graph, SortedRemoveAndIncreaseWeightStayCorrect) {
     g.removeEdge(0, 3); // binary-search lookup, then unsorted from here on
     EXPECT_FALSE(g.hasEdge(0, 3));
     EXPECT_TRUE(g.hasEdge(0, 1));
-    g.increaseWeight(0, 4, 1.5);
-    EXPECT_DOUBLE_EQ(g.weight(0, 4), 4.5);
+    EXPECT_DOUBLE_EQ(g.weight(0, 4), 3.0);
     EXPECT_DOUBLE_EQ(g.weight(0, 0), 5.0);
     g.checkConsistency();
 }

@@ -23,14 +23,10 @@
 
 #include "community/plm.hpp"
 #include "community/plp.hpp"
-#include "community/streaming_update.hpp"
 #include "generators/planted_partition.hpp"
-#include "generators/simple_graphs.hpp"
-#include "graph/stream_engine.hpp"
 #include "structures/partition.hpp"
 #include "support/race_check.hpp"
 #include "support/random.hpp"
-#include "support/stream_workload.hpp"
 
 #if defined(__linux__)
 #include <sys/wait.h>
@@ -275,31 +271,6 @@ TEST(RaceCheck, BenignRaceManifestMatchesTrace) {
         grapr::Partition zeta(frozen.upperNodeIdBound());
         zeta.allToSingletons();
         (void)grapr::Plm::movePhaseReference(frozen, zeta, 1.0, 64, nullptr);
-    }
-
-    // Streaming: the PLP-seeded sweep must MOVE a label, not just sweep.
-    // Two bridged 4-cliques converge to one label per clique; wiring node
-    // 4 to the rest of clique 0 gives it cross weight 4 vs 3 intra, so its
-    // dominant label provably flips when the batch reactivates it.
-    {
-        grapr::Random::setSeed(4244);
-        grapr::Graph sg = grapr::SimpleGraphs::cliqueChain(2, 4);
-        grapr::StreamingGraph engine(sg);
-        grapr::StreamingPlp incremental;
-        incremental.initialize(engine.pin()->graph);
-        grapr::EdgeBatch batch;
-        batch.insert(4, 0);
-        batch.insert(4, 1);
-        batch.insert(4, 2);
-        const grapr::BatchResult result =
-            engine.apply(batch, grapr::StreamApplyMode::Permissive);
-        ASSERT_FALSE(result.touched.empty());
-        incremental.applyBatch(engine.pin()->graph, result.touched);
-        ASSERT_GT(incremental.lastReactivated(), 0u);
-        ASSERT_EQ(incremental.labels().vector()[4],
-                  incremental.labels().vector()[0])
-            << "node 4 kept its clique-1 label — the seeded sweep moved "
-            << "nothing and never reached the benign publish site";
     }
 
     const std::vector<std::string> trace = grapr::race::benignSitesExecuted();

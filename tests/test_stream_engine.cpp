@@ -9,18 +9,20 @@
 //   - one big batch == many small batches (replay composes);
 //   - the engine agrees bit for bit with an independent map-based oracle
 //     under randomized churn, at every thread count;
+//   - a weighted engine rejects a NaN, infinite or negative insert weight;
 //   - pinned snapshots are immutable under concurrent publishes (the
 //     snapshot-isolation contract, checked from racing reader threads);
-//   - incremental PLM/PLP re-detection stays inside the quality envelope
-//     of from-scratch detection while re-activating only a local region;
-//   - both detectors merge, split, absorb nodes past the bound and cold
-//     re-initialize correctly; PLM takes its split-off move.
+//   - incremental PLM re-detection stays inside the quality envelope of
+//     from-scratch detection while re-activating only a local region;
+//   - the incremental detector merges, splits, absorbs nodes past the
+//     bound, cold re-initializes correctly and takes its split-off move.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <thread>
@@ -30,7 +32,6 @@
 #include <omp.h>
 
 #include "community/plm.hpp"
-#include "community/plp.hpp"
 #include "community/streaming_update.hpp"
 #include "generators/planted_partition.hpp"
 #include "generators/rmat.hpp"
@@ -233,8 +234,8 @@ TEST(StreamEngine, CsrEdgeWeightBinarySearch) {
 
 TEST(StreamEngine, EmptyAndCancelledBatchesPublishNothing) {
     StreamingGraph engine(seedGraph());
-    const std::uint64_t checksum = csrChecksum(engine.pin()->graph);
-    const StreamView view = engine.current();
+    const SnapshotPtr before = engine.pin();
+    const std::uint64_t checksum = csrChecksum(before->graph);
 
     const BatchResult empty = engine.apply(EdgeBatch{});
     EXPECT_EQ(empty.generation, 0u);
@@ -253,9 +254,8 @@ TEST(StreamEngine, EmptyAndCancelledBatchesPublishNothing) {
 
     EXPECT_EQ(engine.generation(), 0u);
     EXPECT_EQ(csrChecksum(engine.pin()->graph), checksum);
-    // No publish happened, so the borrowed view must still be readable
-    // (under GRAPR_VIEW_CHECK this would abort had the engine bumped).
-    EXPECT_EQ(csrChecksum(view.graph()), checksum);
+    // No publish happened: the head is still the very same snapshot.
+    EXPECT_EQ(engine.pin(), before);
 }
 
 TEST(StreamEngine, StrictViolationsThrowAndLeaveStateUntouched) {
@@ -282,6 +282,53 @@ TEST(StreamEngine, StrictViolationsThrowAndLeaveStateUntouched) {
     // including the valid {4,5} insert that preceded the bad op.
     EXPECT_EQ(engine.generation(), 0u);
     EXPECT_EQ(csrChecksum(engine.pin()->graph), checksum);
+}
+
+TEST(StreamEngine, RejectsNonFiniteOrNegativeInsertWeight) {
+    Graph g(8, true);
+    g.addEdge(0, 1, 2.0);
+    g.addEdge(2, 3, 1.5);
+    StreamingGraph engine(g);
+    const SnapshotPtr before = engine.pin();
+    const std::uint64_t checksum = csrChecksum(before->graph);
+
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(), -1.0};
+    for (const StreamApplyMode mode :
+         {StreamApplyMode::Strict, StreamApplyMode::Permissive}) {
+        for (const double w : bad) {
+            SCOPED_TRACE(w);
+            EdgeBatch batch;
+            batch.insert(4, 5, 3.0); // valid, and must not land either
+            batch.insert(5, 6, w);
+            EXPECT_THROW(engine.apply(batch, mode), std::runtime_error);
+            // Permissive mode would ignore a duplicate insert, but not
+            // its bad weight.
+            EdgeBatch duplicate;
+            duplicate.insert(0, 1, w);
+            EXPECT_THROW(engine.apply(duplicate, mode), std::runtime_error);
+        }
+    }
+    EXPECT_EQ(engine.pin(), before);
+    EXPECT_EQ(csrChecksum(engine.pin()->graph), checksum);
+
+    // Zero is a weight like any other.
+    EdgeBatch zero;
+    zero.insert(4, 5, 0.0);
+    EXPECT_EQ(engine.apply(zero).generation, 1u);
+    EXPECT_EQ(csrEdgeWeight(engine.pin()->graph, 4, 5),
+              std::optional<edgeweight>(0.0));
+
+    // An unweighted engine ignores EdgeOp::w and stores 1.
+    Graph plain(4, false);
+    plain.addEdge(0, 1);
+    StreamingGraph unweighted(plain);
+    EdgeBatch nan;
+    nan.insert(2, 3, std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(unweighted.apply(nan).generation, 1u);
+    EXPECT_EQ(csrEdgeWeight(unweighted.pin()->graph, 2, 3),
+              std::optional<edgeweight>(1.0));
 }
 
 TEST(StreamEngine, PermissiveCountsIgnoredOps) {
@@ -514,15 +561,23 @@ TEST(StreamEngine, PinnedSnapshotImmutableAcrossPublishes) {
     cfg.nodes = 128;
     cfg.seed = 705;
     const StreamWorkload workload(cfg);
+    std::uint64_t published = 0;
     for (std::uint64_t i = 0; i < 6; ++i) {
-        engine.apply(workload.batch(i, engine.pin()->graph),
-                     StreamApplyMode::Permissive);
+        published = engine
+                        .apply(workload.batch(i, engine.pin()->graph),
+                               StreamApplyMode::Permissive)
+                        .generation;
     }
 
-    EXPECT_GT(engine.generation(), 0u);
+    EXPECT_GT(published, 0u);
     EXPECT_EQ(pinned->generation, 0u);
     EXPECT_EQ(pinned->graph.numberOfEdges(), baseEdges);
     EXPECT_EQ(csrChecksum(pinned->graph), checksum);
+    // A pin taken after the publishes reads the last published generation,
+    // not the pinned one.
+    const SnapshotPtr fresh = engine.pin();
+    EXPECT_NE(fresh, pinned);
+    EXPECT_EQ(fresh->generation, published);
 }
 
 TEST(StreamEngine, ConcurrentReadersSeeConsistentSnapshots) {
@@ -742,103 +797,23 @@ TEST(StreamingDetect, PlmSingleThreadedRunsAreIdentical) {
     EXPECT_EQ(first, second);
 }
 
-TEST(StreamingDetect, PlpUntouchedRegionsAreFixpoints) {
-    Random::setSeed(720);
-    Graph g = SimpleGraphs::cliqueChain(8, 8); // 8 cliques of 8 nodes
-    StreamingGraph engine(g);
-
-    StreamingPlp incremental;
-    incremental.initialize(engine.pin()->graph);
-
-    // Strengthen the bridge between cliques 0 and 1; cliques 4..7 are far
-    // outside the propagation frontier and their grouping must not churn —
-    // the sticky-label rule makes converged regions fixpoints. Community
-    // IDS are renamed by the per-batch compaction, so assert structure,
-    // not raw labels.
-    EdgeBatch batch;
-    batch.insert(0, 9);
-    batch.insert(1, 10);
-    const BatchResult result =
-        engine.apply(batch, StreamApplyMode::Permissive);
-    incremental.applyBatch(engine.pin()->graph, result.touched);
-
-    EXPECT_GT(incremental.lastReactivated(), 0u);
-    EXPECT_LT(incremental.lastReactivated(), 64u); // stayed local
-    const std::vector<node>& after = incremental.labels().vector();
-    for (node c = 4; c < 8; ++c) {
-        const node anchor = c * 8;
-        for (node v = anchor + 1; v < anchor + 8; ++v) {
-            EXPECT_EQ(after[v], after[anchor])
-                << "far clique " << c << " split at node " << v;
-        }
-        if (c > 4) {
-            EXPECT_NE(after[anchor], after[32])
-                << "far cliques " << c << " and 4 merged";
-        }
-    }
-}
-
-TEST(StreamingDetect, PlpTracksFromScratchQualityUnderChurn) {
-    Random::setSeed(721);
-    PlantedPartitionGenerator gen(1500, 15, 0.25, 0.004);
-    Graph g = gen.generate();
-    StreamingGraph engine(g);
-
-    StreamingPlp incremental;
-    incremental.initialize(engine.pin()->graph);
-
-    StreamWorkloadConfig cfg;
-    cfg.nodes = 1500;
-    cfg.opsPerBatch = 150;
-    cfg.seed = 722;
-    const StreamWorkload workload(cfg);
-    for (std::uint64_t i = 0; i < 5; ++i) {
-        const BatchResult result =
-            engine.apply(workload.batch(i, engine.pin()->graph),
-                         StreamApplyMode::Permissive);
-        if (result.touched.empty()) continue;
-        incremental.applyBatch(engine.pin()->graph, result.touched);
-    }
-
-    const SnapshotPtr final_ = engine.pin();
-    Random::setSeed(723);
-    const Partition fromScratch = Plp().run(final_->graph);
-    const double qIncremental =
-        Modularity().getQuality(incremental.labels(), final_->graph);
-    const double qScratch =
-        Modularity().getQuality(fromScratch, final_->graph);
-    EXPECT_TRUE(incremental.labels().isComplete());
-    EXPECT_GT(qIncremental, qScratch - 0.05);
-}
-
 // --- incremental detection: structural properties of both detectors --------
 
 namespace {
 
-const Partition& partitionOf(const StreamingPlm& d) { return d.communities(); }
-const Partition& partitionOf(const StreamingPlp& d) { return d.labels(); }
-
-// Runs `body` once per incremental detector, on a fresh instance of each,
-// single-threaded. On graphs of a few dozen nodes, the simultaneous moves
-// of a parallel sweep can swap nodes back and forth until the sweep cap, so
-// a structural outcome would depend on the interleaving (at four threads a
-// Debug build fails several tests below).
+// Runs `body` on a fresh StreamingPlm, single-threaded. On graphs of a few
+// dozen nodes, the simultaneous moves of a parallel sweep can swap nodes
+// back and forth until the sweep cap, so a structural outcome would depend
+// on the interleaving (at four threads a Debug build fails several tests
+// below).
 template <typename Body>
 void forEachDetector(Body&& body) {
     const SingleThreadScope pinned;
-    {
-        SCOPED_TRACE("StreamingPlm");
-        body(StreamingPlm{});
-    }
-    {
-        SCOPED_TRACE("StreamingPlp");
-        body(StreamingPlp{});
-    }
+    body(StreamingPlm{});
 }
 
 // Publishes `batch` and re-detects on the generation it produced.
-template <typename Detector>
-void applyAndRedetect(StreamingGraph& engine, Detector& detector,
+void applyAndRedetect(StreamingGraph& engine, StreamingPlm& detector,
                       const EdgeBatch& batch) {
     const BatchResult result = engine.apply(batch);
     detector.applyBatch(engine.pin()->graph, result.touched);
@@ -851,7 +826,7 @@ TEST(StreamingDetect, ColdInitializeFindsEveryClique) {
         Random::setSeed(730);
         const StreamingGraph engine(SimpleGraphs::cliqueChain(8, 8));
         detector.initialize(engine.pin()->graph);
-        EXPECT_EQ(partitionOf(detector).numberOfSubsets(), 8u);
+        EXPECT_EQ(detector.communities().numberOfSubsets(), 8u);
     });
 }
 
@@ -877,7 +852,7 @@ TEST(StreamingDetect, InsertionBatchMergesCliques) {
         Random::setSeed(731);
         StreamingGraph engine(g);
         detector.initialize(engine.pin()->graph);
-        ASSERT_NE(partitionOf(detector)[0], partitionOf(detector)[6]);
+        ASSERT_NE(detector.communities()[0], detector.communities()[6]);
 
         // Join the cliques completely: the result is one 12-clique.
         EdgeBatch batch;
@@ -886,7 +861,7 @@ TEST(StreamingDetect, InsertionBatchMergesCliques) {
         }
         applyAndRedetect(engine, detector, batch);
         for (node v = 1; v < 12; ++v) {
-            EXPECT_EQ(partitionOf(detector)[v], partitionOf(detector)[0])
+            EXPECT_EQ(detector.communities()[v], detector.communities()[0])
                 << "node " << v;
         }
     });
@@ -901,41 +876,13 @@ TEST(StreamingDetect, BridgeDeletionSplitsChain) {
         EdgeBatch batch;
         batch.remove(7, 8);
         applyAndRedetect(engine, detector, batch);
-        const Partition& zeta = partitionOf(detector);
+        const Partition& zeta = detector.communities();
         EXPECT_NE(zeta[0], zeta[8]);
         for (node v = 1; v < 8; ++v) {
             EXPECT_EQ(zeta[v], zeta[0]) << "node " << v;
             EXPECT_EQ(zeta[v + 8], zeta[8]) << "node " << v + 8;
         }
     });
-}
-
-TEST(StreamingDetect, PlpSingleEdgeBatchStaysLocal) {
-    // One thread keeps the count deterministic and the test short under
-    // TSan; PlpTracksFromScratchQualityUnderChurn runs the parallel sweep.
-    const SingleThreadScope pinned;
-    Random::setSeed(733);
-    StreamingGraph engine(
-        PlantedPartitionGenerator(5000, 50, 0.3, 0.001).generate());
-    StreamingPlp incremental;
-    incremental.initialize(engine.pin()->graph);
-
-    // One intra-block edge: blocks are contiguous in the planted layout.
-    node partner = none;
-    for (node v = 1; v < 100; ++v) {
-        if (!csrEdgeWeight(engine.pin()->graph, 0, v).has_value()) {
-            partner = v;
-            break;
-        }
-    }
-    ASSERT_NE(partner, none);
-    EdgeBatch batch;
-    batch.insert(0, partner);
-    applyAndRedetect(engine, incremental, batch);
-    EXPECT_GT(incremental.lastReactivated(), 0u);
-    EXPECT_LT(incremental.lastReactivated(),
-              engine.pin()->graph.upperNodeIdBound() / 10);
-    EXPECT_TRUE(incremental.labels().isComplete());
 }
 
 TEST(StreamingDetect, BatchPastBoundAbsorbsNewNodes) {
@@ -951,7 +898,7 @@ TEST(StreamingDetect, BatchPastBoundAbsorbsNewNodes) {
         batch.insert(9, 0);
         batch.insert(9, 1);
         applyAndRedetect(engine, detector, batch);
-        const Partition& zeta = partitionOf(detector);
+        const Partition& zeta = detector.communities();
         ASSERT_EQ(zeta.numberOfElements(), 10u);
         EXPECT_TRUE(zeta.isComplete());
         EXPECT_EQ(zeta[9], zeta[0]);
@@ -1068,7 +1015,7 @@ TEST(StreamingDetect, ReinitializeEqualsFreshDetector) {
         decltype(detector) fresh;
         Random::setSeed(740);
         fresh.initialize(snap->graph);
-        EXPECT_EQ(partitionOf(detector).vector(), partitionOf(fresh).vector());
+        EXPECT_EQ(detector.communities().vector(), fresh.communities().vector());
     });
 }
 
@@ -1108,7 +1055,7 @@ TEST(StreamingDetect, ChurnSweepStaysValid) {
                 }
             }
 
-            const Partition& zeta = partitionOf(detector);
+            const Partition& zeta = detector.communities();
             EXPECT_TRUE(zeta.isComplete());
             const double q = Modularity().getQuality(zeta, engine.pin()->graph);
             EXPECT_GT(q, 0.3);

@@ -86,7 +86,7 @@ NODE_RETURN_METHODS = {
 # sync (the must-fail fixtures pin the overlap).
 GRAPH_MUTATORS = {
     "addNode", "removeNode", "addEdge", "addEdgeChecked", "removeEdge",
-    "increaseWeight", "sortNeighborLists",
+    "sortNeighborLists",
 }
 
 # Free/namespace functions known to mutate a Graph& parameter (position ->
